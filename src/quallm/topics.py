@@ -122,6 +122,16 @@ def extract_topics(corpus: Sequence[str], params: TopicParams) -> TopicModelOutp
     in input order and joined to the first best cluster at or above the
     similarity threshold. Clusters smaller than min_topic_size are
     discarded; survivors are ranked by size (ties keep creation order).
+
+    An inverted index (term -> ids of the centroids holding it) names
+    the centroids a document shares terms with, and only those are
+    scored; every centroid keeps its sum of squared counts as an exact
+    int, updated as documents join. Counts are integers, so dot products
+    and squared norms are exact and each similarity is the float
+    ``cosine`` returns for the same pair. Centroids that share only the
+    document's most widespread terms, too little of its norm to reach the
+    threshold, are skipped: they could neither be joined nor outrank a
+    centroid that can.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -130,20 +140,53 @@ def extract_topics(corpus: Sequence[str], params: TopicParams) -> TopicModelOutp
     if not nonempty:
         raise ValueError("every document tokenized to nothing; cannot extract topics")
 
-    centroids: list[Counter] = []
+    centroids: list[dict[str, int]] = []
+    squared_norms: list[int] = []
     sizes: list[int] = []
+    postings: dict[str, list[int]] = {}
+    # Slightly under threshold^2, so float rounding cannot undo a prune.
+    prune_share = params.similarity_threshold**2 * (1 - 1e-9)
     for vector in nonempty:
+        squared = sum(count * count for count in vector.values())
+        # A centroid sharing only terms whose squared counts sum to under
+        # prune_share of the document's has cosine below the threshold
+        # (Cauchy-Schwarz), so it can neither be joined nor beat one that
+        # can. The most widespread terms fill that share and name no
+        # candidates; they only add their part to the candidates' dots.
+        terms = sorted(vector, key=lambda term: len(postings.get(term, ())), reverse=True)
+        budget = prune_share * squared
+        split = 0
+        while vector[terms[split]] ** 2 < budget:
+            budget -= vector[terms[split]] ** 2
+            split += 1
+        dots: dict[int, int] = {}
+        for term in terms[split:]:
+            count = vector[term]
+            for i in postings.get(term, ()):
+                dots[i] = dots.get(i, 0) + count * centroids[i][term]
+        for term in terms[:split]:
+            count = vector[term]
+            for i in dots:
+                dots[i] += count * centroids[i].get(term, 0)
+        norm = math.sqrt(squared)
         best_index, best_sim = -1, 0.0
-        for i, centroid in enumerate(centroids):
-            sim = cosine(vector, centroid)
+        for i in sorted(dots):  # creation order, so strict > keeps the first best
+            sim = dots[i] / (norm * math.sqrt(squared_norms[i]))
             if sim > best_sim:
                 best_index, best_sim = i, sim
-        if best_index >= 0 and best_sim >= params.similarity_threshold:
-            centroids[best_index].update(vector)
-            sizes[best_index] += 1
-        else:
-            centroids.append(Counter(vector))
-            sizes.append(1)
+        if best_index < 0 or best_sim < params.similarity_threshold:
+            best_index = len(centroids)
+            centroids.append({})
+            squared_norms.append(0)
+            sizes.append(0)
+        centroid = centroids[best_index]
+        for term, count in vector.items():
+            old = centroid.get(term, 0)
+            if not old:
+                postings.setdefault(term, []).append(best_index)
+            centroid[term] = old + count
+            squared_norms[best_index] += count * (2 * old + count)
+        sizes[best_index] += 1
 
     survivors = [
         (sizes[i], i, centroids[i])

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quallm
 from quallm import ndjson
 from quallm.cli import main
 from quallm.fixtures import build_demo_fixture
@@ -365,3 +369,17 @@ def test_bad_config_key_exits_2(fixture, tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["generate", "--config", str(tmp_path / "no.cfg")])
     assert rc == 2
+
+
+def test_cli_import_does_not_load_numpy():
+    # Every CLI invocation pays for what `import quallm.cli` loads.
+    src = Path(quallm.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, quallm.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"

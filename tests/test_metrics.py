@@ -1,14 +1,19 @@
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from quallm import metrics as metrics_mod
 from quallm.metrics import (
     DIRECTION_COMPLETENESS,
     DIRECTION_FACTUALITY,
+    SIGNIFICANCE_ALPHA,
     MatchJudgmentSet,
+    _TIE_SCALE,
     accuracy,
     annotation_matrix,
     binomial_significance,
@@ -258,6 +263,64 @@ def test_binomial_matches_oracle_small_sweep():
                 assert p_value == pytest.approx(
                     exact_binom_oracle(s, n, p), abs=1e-9
                 ), (s, n, p)
+
+
+def exact_p_values(n, chance_p):
+    """Reference test for every outcome of n trials: exact integer weights
+    w[k] = C(n,k) a^k b^(n-k) over the binary rational a/d = chance_p,
+    sorted and prefix-summed, each p-value the correctly rounded quotient."""
+    p = Fraction(chance_p)
+    a, d = p.numerator, p.denominator
+    b = d - a
+    weights = [b**n]
+    for k in range(n):
+        weights.append(weights[-1] * (n - k) * a // ((k + 1) * b))
+    sorted_weights = sorted(weights)
+    prefix = [0]
+    for weight in sorted_weights:
+        prefix.append(prefix[-1] + weight)
+    denominator = d**n
+    p_values = []
+    for weight in weights:
+        bound = Fraction(weight * (_TIE_SCALE + 1), _TIE_SCALE)
+        p_values.append(prefix[bisect_right(sorted_weights, bound)] / denominator)
+    return p_values
+
+
+def assert_matches_exact(n, chance_p):
+    for s, exact in enumerate(exact_p_values(n, chance_p)):
+        p_value, significant = binomial_significance(s, n, chance_p)
+        assert significant == (exact < SIGNIFICANCE_ALPHA), (s, n, chance_p)
+        if exact >= 1e-300:
+            assert p_value == pytest.approx(exact, rel=1e-9), (s, n, chance_p)
+
+
+@pytest.mark.parametrize("chance_p", [0.2, 1 / 3, 0.5])
+def test_binomial_matches_exact_reference_for_every_outcome(chance_p):
+    rng = random.Random(f"binomial-{chance_p}")
+    for n in list(range(1, 30)) + rng.sample(range(30, 3001), 2):
+        assert_matches_exact(n, chance_p)
+
+
+def test_binomial_mirror_ties_decided_exactly(monkeypatch):
+    # At chance 0.5, w[s] == w[n-s]. From n = 40 on, the screen's safety
+    # margin exceeds the tie tolerance, so the float screen cannot place
+    # the mirror outcome and the exact rule must decide it.
+    verdicts = []
+    within_tie = metrics_mod._within_tie
+
+    def spy(k, s, n, a, b):
+        verdict = within_tie(k, s, n, a, b)
+        verdicts.append((k, s, n, verdict))
+        return verdict
+
+    monkeypatch.setattr(metrics_mod, "_within_tie", spy)
+    for n in (40, 41, 400, 1001):
+        assert_matches_exact(n, 0.5)
+        mirrors = [(s, verdict) for k, s, m, verdict in verdicts if m == n and k == n - s != s]
+        assert all(verdict for _, verdict in mirrors)
+        # every outcome off the mode had its mirror decided exactly
+        assert {s for s, _ in mirrors} >= {s for s in range(n + 1) if abs(2 * s - n) > 1}
 
 
 def test_binomial_input_validation():

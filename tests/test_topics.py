@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -138,6 +139,95 @@ def test_topic_weights_normalized_and_frequencies_nonincreasing():
     for t in output.topics:
         assert sum(t.terms.values()) == pytest.approx(1.0)
         assert all(w >= 0 for w in t.terms.values())
+
+
+def quadratic_extract_topics(corpus, params):
+    """Reference extractor: every document against every centroid with
+    ``cosine``, recomputing both norms on each comparison."""
+    vectors = [vectorize(text, params.ngram_range) for text in corpus]
+    nonempty = [v for v in vectors if v]
+    centroids, sizes = [], []
+    for vector in nonempty:
+        best_index, best_sim = -1, 0.0
+        for i, centroid in enumerate(centroids):
+            sim = cosine(vector, centroid)
+            if sim > best_sim:
+                best_index, best_sim = i, sim
+        if best_index >= 0 and best_sim >= params.similarity_threshold:
+            centroids[best_index].update(vector)
+            sizes[best_index] += 1
+        else:
+            centroids.append(Counter(vector))
+            sizes.append(1)
+    survivors = sorted(
+        (
+            (sizes[i], i, centroids[i])
+            for i in range(len(centroids))
+            if sizes[i] >= params.min_topic_size
+        ),
+        key=lambda item: (-item[0], item[1]),
+    )
+    topics = []
+    for rank, (size, _, centroid) in enumerate(survivors, start=1):
+        total = sum(centroid.values())
+        terms = {term: count / total for term, count in centroid.items()}
+        topics.append(Topic(topic_id=f"t{rank}", frequency=size, terms=terms))
+    return TopicModelOutput(topics=tuple(topics), seed=params.seed)
+
+
+def seeded_corpus(seed, docs, vocab_size, duplicate_share=0.0, empty_share=0.0):
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(vocab_size)]
+    corpus = []
+    for _ in range(docs):
+        roll = rng.random()
+        if corpus and roll < duplicate_share:
+            corpus.append(rng.choice(corpus))
+        elif roll < duplicate_share + empty_share:
+            corpus.append(rng.choice(["", "the and of", "it is a", "?!"]))
+        else:
+            corpus.append(" ".join(rng.choices(vocab, k=rng.randint(1, 10))))
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "corpus, params",
+    [
+        # diverse vocabulary: most documents found their own centroid
+        (seeded_corpus(1, 400, 3000), TopicParams(min_topic_size=1)),
+        (seeded_corpus(2, 400, 3000, empty_share=0.1), TopicParams(min_topic_size=2)),
+        # small vocabulary: large centroids, many shared terms
+        (seeded_corpus(3, 400, 30), TopicParams(min_topic_size=3)),
+        (seeded_corpus(4, 300, 12), TopicParams(min_topic_size=1, ngram_range=(1, 3))),
+        # duplicates and empty documents; at threshold 1.0 a duplicate
+        # may fall just short of similarity 1 and open an identical
+        # centroid, so later copies tie exactly between centroids
+        (
+            seeded_corpus(5, 300, 40, duplicate_share=0.4, empty_share=0.1),
+            TopicParams(min_topic_size=1, similarity_threshold=1.0),
+        ),
+        (
+            seeded_corpus(6, 300, 15, duplicate_share=0.3, empty_share=0.2),
+            TopicParams(min_topic_size=2, similarity_threshold=0.5),
+        ),
+        (
+            seeded_corpus(7, 300, 200, duplicate_share=0.2),
+            TopicParams(min_topic_size=1, similarity_threshold=0.1),
+        ),
+        # "alpha" is equally similar (1/sqrt 2) to both earlier centroids
+        (
+            ["alpha beta", "alpha gamma", "alpha", "alpha", "gamma beta"] * 3,
+            TopicParams(min_topic_size=1, similarity_threshold=0.7, ngram_range=(1, 1)),
+        ),
+    ],
+)
+def test_extract_topics_matches_quadratic_reference(corpus, params):
+    output = extract_topics(corpus, params)
+    expected = quadratic_extract_topics(corpus, params)
+    assert output == expected
+    assert [list(t.terms) for t in output.topics] == [
+        list(t.terms) for t in expected.topics
+    ]
 
 
 # ---------------------------------------------------------------------------
