@@ -1,128 +1,3 @@
 """Forum-archive theme analysis pipeline with an offline evaluation harness."""
 
 __version__ = "0.1.0"
-
-from .gateway import (
-    CompletionRequest,
-    CompletionResult,
-    Gateway,
-    GatewayFailure,
-    HttpBackend,
-    MockBackend,
-    RetryPolicy,
-    TokenLedger,
-    cost_report,
-    record_usage,
-)
-from .ingest import (
-    build_threads,
-    filter_short,
-    group_batches,
-    parse_archive,
-    parse_archive_file,
-)
-from .metrics import (
-    MatchJudgmentSet,
-    MetricReport,
-    accuracy,
-    binomial_significance,
-    completeness,
-    factuality,
-    fleiss_kappa,
-    majority_label,
-)
-from .models import (
-    BatchGroup,
-    Concern,
-    ForumComment,
-    ForumSubmission,
-    StudyConfig,
-    SubThemeAssignment,
-    SubThemeEntry,
-    SubThemeSet,
-    ThemeAssignment,
-    ThemeCategory,
-    ThemeTaxonomy,
-    ThreadDocument,
-)
-from .pipeline import PipelineRunner, RunPaths
-from .report import (
-    compute_prevalence_table,
-    compute_theme_distribution,
-    render_cost_table,
-    render_theme_table_markdown,
-)
-from .stages import (
-    parse_generation_output,
-    plan_aggregation,
-    run_aggregation,
-    run_classification,
-    run_prevalence,
-    verify_quote,
-)
-from .topics import (
-    TopicModelOutput,
-    TopicParams,
-    coverage_k,
-    distinctness,
-    evaluate_aggregation,
-    extract_topics,
-    most_similar_topic,
-)
-
-__all__ = [
-    "BatchGroup",
-    "CompletionRequest",
-    "CompletionResult",
-    "Concern",
-    "ForumComment",
-    "ForumSubmission",
-    "Gateway",
-    "GatewayFailure",
-    "HttpBackend",
-    "MatchJudgmentSet",
-    "MetricReport",
-    "MockBackend",
-    "PipelineRunner",
-    "RetryPolicy",
-    "RunPaths",
-    "StudyConfig",
-    "SubThemeAssignment",
-    "SubThemeEntry",
-    "SubThemeSet",
-    "ThemeAssignment",
-    "ThemeCategory",
-    "ThemeTaxonomy",
-    "ThreadDocument",
-    "TokenLedger",
-    "TopicModelOutput",
-    "TopicParams",
-    "accuracy",
-    "binomial_significance",
-    "build_threads",
-    "completeness",
-    "compute_prevalence_table",
-    "compute_theme_distribution",
-    "cost_report",
-    "coverage_k",
-    "distinctness",
-    "evaluate_aggregation",
-    "extract_topics",
-    "factuality",
-    "filter_short",
-    "fleiss_kappa",
-    "group_batches",
-    "majority_label",
-    "most_similar_topic",
-    "parse_archive",
-    "parse_archive_file",
-    "parse_generation_output",
-    "plan_aggregation",
-    "record_usage",
-    "render_cost_table",
-    "render_theme_table_markdown",
-    "run_aggregation",
-    "run_classification",
-    "run_prevalence",
-    "verify_quote",
-]

@@ -35,13 +35,14 @@ from .ingest import (
     parse_archive_file,
     write_groups,
 )
-from .models import SubThemeSet
 from .pipeline import (
+    STAGES,
     PipelineOrderError,
     PipelineRunner,
     RunPaths,
     StageReport,
     load_subtheme_assignments,
+    load_subtheme_sets,
     load_theme_assignments,
 )
 
@@ -85,23 +86,21 @@ def _build_gateway(config: RunConfig, paths: RunPaths) -> Gateway:
     )
 
 
-def _runner(config: RunConfig) -> tuple[PipelineRunner, RunPaths, Gateway]:
+def _runner(config: RunConfig) -> PipelineRunner:
     assert config.run_dir is not None
     paths = RunPaths(config.run_dir)
     paths.run_dir.mkdir(parents=True, exist_ok=True)
-    gateway = _build_gateway(config, paths)
-    runner = PipelineRunner(
+    return PipelineRunner(
         paths,
         config.study(),
-        gateway,
+        _build_gateway(config, paths),
         workers=config.concurrency,
         template_dir=config.template_dir,
     )
-    return runner, paths, gateway
 
 
-def _print_stage(report: StageReport, gateway: Gateway) -> None:
-    input_tokens, output_tokens = gateway.ledger.snapshot()
+def _print_stage(report: StageReport) -> None:
+    input_tokens, output_tokens = report.tokens
     print(
         f"[{report.stage}] units done: {report.ok}/{report.units_total}"
         f" (executed {report.executed}, resumed-skip {report.skipped})"
@@ -112,7 +111,7 @@ def _print_stage(report: StageReport, gateway: Gateway) -> None:
         )
         print(f"[{report.stage}] failed: {report.failed} ({by_cat})")
     print(
-        f"[{report.stage}] tokens this invocation:"
+        f"[{report.stage}] tokens this stage:"
         f" {input_tokens} in / {output_tokens} out"
     )
 
@@ -156,28 +155,22 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def _run_stages(args: argparse.Namespace, stage_names: Sequence[str]) -> int:
     config = _load(args)
-    runner, _, gateway = _runner(config)
-    methods = {
-        "generate": runner.stage_generate,
-        "classify": runner.stage_classify,
-        "aggregate": runner.stage_aggregate,
-        "prevalence": runner.stage_prevalence,
-    }
+    runner = _runner(config)
     reports = []
     for name in stage_names:
-        report = methods[name]()
-        _print_stage(report, gateway)
+        report = runner.run_stage(name)
+        _print_stage(report)
         reports.append(report)
     return _stage_exit(reports)
 
 
 def cmd_retry_failed(args: argparse.Namespace) -> int:
     config = _load(args)
-    runner, paths, gateway = _runner(config)
+    runner = _runner(config)
 
     before: dict[str, int] = {}
-    for stage in ("generate", "classify", "aggregate", "prevalence"):
-        summary = paths.summary(stage)
+    for stage in STAGES:
+        summary = runner.paths.summary(stage)
         if summary.exists():
             before[stage] = json.loads(summary.read_text(encoding="utf-8")).get(
                 "failed", 0
@@ -189,7 +182,7 @@ def cmd_retry_failed(args: argparse.Namespace) -> int:
         print(
             f"[{report.stage}] failures: {previous} before -> {report.failed} after"
         )
-        _print_stage(report, gateway)
+        _print_stage(report)
     return _stage_exit(reports)
 
 
@@ -204,11 +197,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     taxonomy = config.load_taxonomy()
     theme_assignments = load_theme_assignments(paths.theme_assignments)
 
-    subtheme_sets = []
-    for path in paths.subtheme_files():
-        subtheme_sets.append(
-            SubThemeSet.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        )
+    subtheme_sets = load_subtheme_sets(paths)
     subtheme_assignments = (
         load_subtheme_assignments(paths.subtheme_assignments)
         if paths.subtheme_assignments.exists()
@@ -233,12 +222,9 @@ def _ledger_from_log(paths: RunPaths, config: RunConfig) -> TokenLedger:
         raise CliError(
             "no llm_log.ndjson in the run directory and no --ledger given", EXIT_ORDER
         )
-    # Keep the most recent entry per request tag: re-executed units
-    # (after checkpoint quarantine) supersede their earlier calls.
-    latest: dict[str, dict] = {}
+    # Every successful call was billed: parity re-asks reuse their tag and
+    # re-executed units repeat theirs, so no line supersedes another.
     for record in ndjson.iter_records(paths.llm_log):
-        latest[record["request_tag"]] = record
-    for record in latest.values():
         if record.get("outcome") == "ok":
             ledger.add(record.get("input_tokens", 0), record.get("output_tokens", 0))
     return ledger
@@ -457,13 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--comments", required=True)
     p_ingest.set_defaults(func=cmd_ingest)
 
-    for name, stages in (
-        ("generate", ["generate"]),
-        ("classify", ["classify"]),
-        ("aggregate", ["aggregate"]),
-        ("prevalence", ["prevalence"]),
-        ("run-all", ["generate", "classify", "aggregate", "prevalence"]),
-    ):
+    for name, stages in [(stage, (stage,)) for stage in STAGES] + [("run-all", STAGES)]:
         p_stage = sub.add_parser(name, help=f"run the {name} stage(s)")
         add_common(p_stage)
         p_stage.set_defaults(func=lambda a, s=stages: _run_stages(a, s))

@@ -294,12 +294,6 @@ class TokenLedger:
             return self.total_input_tokens, self.total_output_tokens
 
 
-def record_usage(ledger: TokenLedger, result: CompletionResult) -> TokenLedger:
-    """Fold one completion's token counts into the ledger."""
-    ledger.add(result.input_tokens, result.output_tokens)
-    return ledger
-
-
 @dataclass(frozen=True)
 class CostBreakdown:
     total_input_tokens: int
@@ -401,15 +395,14 @@ class Gateway:
                 return GatewayFailure(
                     category=exc.category, attempts=attempts, detail=str(exc)
                 )
-            result = CompletionResult(
+            self.ledger.add(input_tokens, output_tokens)
+            self._log(request.request_tag, "ok", attempts, input_tokens, output_tokens)
+            return CompletionResult(
                 text=text,
                 input_tokens=input_tokens,
                 output_tokens=output_tokens,
                 attempts=attempts,
             )
-            record_usage(self.ledger, result)
-            self._log(request.request_tag, "ok", attempts, input_tokens, output_tokens)
-            return result
 
         assert last_error is not None
         self._log(request.request_tag, last_error.category, attempts, 0, 0)

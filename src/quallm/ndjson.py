@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 
 def dumps(record: Any) -> str:
@@ -13,15 +14,37 @@ def dumps(record: Any) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
-def write_records(path: Path, records: Iterable[Any]) -> int:
-    """Overwrite *path* with one record per line; returns the record count."""
+@contextmanager
+def _replacing(path: Path) -> Iterator[IO[str]]:
+    """Write to a sibling temp file that replaces *path* only on success.
+
+    A failure part-way leaves the old *path* intact and no temp file behind.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_records(path: Path, records: Iterable[Any]) -> int:
+    """Replace *path* with one record per line; returns the record count."""
     count = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for record in records:
             fh.write(dumps(record) + "\n")
             count += 1
     return count
+
+
+def write_text(path: Path, text: str) -> None:
+    """Replace *path* with *text*, as write_records does."""
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def append_record(path: Path, record: Any) -> None:

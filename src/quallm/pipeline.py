@@ -6,6 +6,7 @@ Layout under the run directory:
     concerns.ndjson                generation output, sorted by concern_id
     theme_assignments.ndjson       classification output
     subthemes_<L>.json             aggregation output, one file per theme
+                                   that aggregated in the latest run
     subtheme_assignments.ndjson    prevalence output
     checkpoints/<stage>.ndjson     per-unit progress (append-only)
     checkpoints/<stage>.meta.json  fingerprint of the stage's inputs
@@ -18,10 +19,18 @@ no backend calls and rewrites identical outputs. If a stage's inputs
 changed since its checkpoint was written (for example after
 retry-failed added concerns upstream), the stale checkpoint is
 discarded and the stage re-runs from scratch.
+
+Each stage rebuilds its whole output set from its checkpoint. Outputs
+and summaries are replaced atomically (written to a temp file, then
+renamed), so a crash mid-write leaves the previous version; aggregate
+removes the ``subthemes_<L>.json`` of every theme it did not write in
+that run, so a theme that lost its concerns, or whose aggregation now
+fails, reaches neither prevalence nor report nor eval.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -52,6 +61,9 @@ from .stages import (
 )
 
 logger = logging.getLogger(__name__)
+
+# call(chunk_index, chunk) -> outcome of one serial->letter chunk
+LetterCall = Callable[[int, Sequence[Concern]], ChunkOutcome]
 
 STAGE_GENERATE = "generate"
 STAGE_CLASSIFY = "classify"
@@ -160,11 +172,9 @@ class Checkpoint:
             with self.quarantine_path.open("a", encoding="utf-8") as fh:
                 for line in bad_lines:
                     fh.write(line + "\n")
-            tmp = self.path.with_suffix(".tmp")
-            tmp.write_text(
-                "".join(line + "\n" for line in good_lines), encoding="utf-8"
+            ndjson.write_text(
+                self.path, "".join(line + "\n" for line in good_lines)
             )
-            tmp.replace(self.path)
         return entries
 
     def append(self, record: dict) -> None:
@@ -219,6 +229,9 @@ class StageReport:
     failed: int
     failed_by_category: dict[str, int]
     extras: dict = field(default_factory=dict)
+    # (input, output) tokens billed by this invocation; not in the summary,
+    # which must not depend on how much was resumed.
+    tokens: tuple[int, int] = (0, 0)
 
     def to_dict(self) -> dict:
         return {
@@ -269,7 +282,9 @@ class PipelineRunner:
         units: Sequence[tuple[str, Callable[[], UnitResult]]],
         input_files: Sequence[Path],
         retry_failed: bool = False,
-    ) -> tuple[dict[str, dict], StageReport]:
+    ) -> tuple[list[dict], StageReport]:
+        """Run the pending *units*; return their checkpoint entries in unit
+        order (units with no entry left out) and the stage report."""
         checkpoint = Checkpoint(self.paths.checkpoint(stage),
                                 self.paths.quarantine(stage))
         checkpoint.path.parent.mkdir(parents=True, exist_ok=True)
@@ -296,6 +311,7 @@ class PipelineRunner:
             if key not in done or (retry_failed and done[key]["status"] == "failed")
         ]
 
+        tokens_before = self.gateway.ledger.snapshot()
         executed = 0
         if pending:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -310,35 +326,79 @@ class PipelineRunner:
                     # Completed units are already checkpointed; drop the rest.
                     pool.shutdown(wait=True, cancel_futures=True)
                     raise
+        tokens_after = self.gateway.ledger.snapshot()
 
+        entries = [done[key] for key, _ in units if key in done]
         failed_by_category: dict[str, int] = {}
-        ok = 0
-        for key, _ in units:
-            entry = done.get(key)
-            if entry is None:
-                continue
-            if entry["status"] == "ok":
-                ok += 1
-            else:
+        for entry in entries:
+            if entry["status"] != "ok":
                 category = entry.get("category", "other")
                 failed_by_category[category] = failed_by_category.get(category, 0) + 1
+        failed = sum(failed_by_category.values())
         report = StageReport(
             stage=stage,
             units_total=len(units),
             executed=executed,
             skipped=len(units) - len(pending),
-            ok=ok,
-            failed=sum(failed_by_category.values()),
+            ok=len(entries) - failed,
+            failed=failed,
             failed_by_category=failed_by_category,
+            tokens=(tokens_after[0] - tokens_before[0],
+                    tokens_after[1] - tokens_before[1]),
         )
-        return done, report
+        return entries, report
+
+    def _run_letter_chunks(
+        self,
+        stage: str,
+        themes: Sequence[tuple[str, Sequence[Concern], LetterCall]],
+        chunk_size: int,
+        input_files: Sequence[Path],
+        output: Path,
+        retry_failed: bool,
+    ) -> StageReport:
+        """Run serial->letter chunks (classify, prevalence) and write their
+        assignments to *output*.
+
+        *themes* holds (theme, concerns, call) triples; ``call(index, chunk)``
+        answers one chunk. Classification passes a single triple with theme
+        "", so its unit keys are bare chunk numbers and its assignments carry
+        no theme.
+        """
+        units = []
+        for theme, concerns, call in themes:
+            slices = chunk_slices(len(concerns), chunk_size)
+            for index, (start, end) in enumerate(slices, start=1):
+                key = f"{theme}:{index}" if theme else str(index)
+                units.append((key, functools.partial(
+                    _letter_unit, key, theme, index, concerns[start:end], call
+                )))
+        entries, report = self._run_units(stage, units, input_files, retry_failed)
+
+        assignments: list[dict] = []
+        failed_concerns = 0
+        remapped = 0
+        for entry in entries:
+            payload = entry["payload"]
+            if entry["status"] == "ok":
+                assignments.extend(payload["assignments"])
+                remapped += payload.get("remapped", 0)
+            else:
+                failed_concerns += len(payload.get("concern_ids", []))
+        assignments.sort(key=lambda a: a["concern_id"])
+        ndjson.write_records(output, assignments)
+
+        report.extras = {
+            "assigned": len(assignments),
+            "failed_concerns": failed_concerns,
+            "remapped_to_catch_all": remapped,
+        }
+        return report
 
     def _write_summary(self, report: StageReport) -> None:
-        path = self.paths.summary(report.stage)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
+        ndjson.write_text(
+            self.paths.summary(report.stage),
             json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
         )
 
     # -- stage: generate ---------------------------------------------------
@@ -368,15 +428,14 @@ class PipelineRunner:
             return run
 
         units = [(g.group_key, make_unit(g)) for g in groups]
-        done, report = self._run_units(
+        entries, report = self._run_units(
             STAGE_GENERATE, units, [self.paths.groups], retry_failed
         )
 
         concerns: list[dict] = []
         empty_groups = 0
-        for key, _ in units:
-            entry = done.get(key)
-            if entry and entry["status"] == "ok":
+        for entry in entries:
+            if entry["status"] == "ok":
                 got = entry["payload"]["concerns"]
                 if not got:
                     empty_groups += 1
@@ -399,48 +458,19 @@ class PipelineRunner:
             raise PipelineOrderError(STAGE_CLASSIFY, STAGE_GENERATE)
         concerns = load_concerns(self.paths.concerns)
 
-        slices = chunk_slices(len(concerns), self.study.classification_chunk_size)
+        def classify(index: int, chunk: Sequence[Concern]) -> ChunkOutcome:
+            return classify_chunk(self.gateway, chunk, self.study, index,
+                                  self.template_dir)
 
-        def make_unit(index: int, start: int, end: int) -> Callable[[], UnitResult]:
-            chunk = concerns[start:end]
-
-            def run() -> UnitResult:
-                outcome = classify_chunk(
-                    self.gateway, chunk, self.study, index, self.template_dir
-                )
-                return _chunk_unit_result(str(index), chunk, outcome)
-
-            return run
-
-        units = [
-            (str(index), make_unit(index, start, end))
-            for index, (start, end) in enumerate(slices, start=1)
-        ]
-        done, report = self._run_units(
-            STAGE_CLASSIFY, units, [self.paths.concerns], retry_failed
+        report = self._run_letter_chunks(
+            STAGE_CLASSIFY,
+            [("", concerns, classify)],
+            self.study.classification_chunk_size,
+            [self.paths.concerns],
+            self.paths.theme_assignments,
+            retry_failed,
         )
-
-        assignments: list[dict] = []
-        failed_concerns = 0
-        remapped = 0
-        for key, _ in units:
-            entry = done.get(key)
-            if entry is None:
-                continue
-            if entry["status"] == "ok":
-                assignments.extend(entry["payload"]["assignments"])
-                remapped += entry["payload"].get("remapped", 0)
-            else:
-                failed_concerns += len(entry["payload"].get("concern_ids", []))
-        assignments.sort(key=lambda a: a["concern_id"])
-        ndjson.write_records(self.paths.theme_assignments, assignments)
-
-        report.extras = {
-            "concerns_in": len(concerns),
-            "assigned": len(assignments),
-            "failed_concerns": failed_concerns,
-            "remapped_to_catch_all": remapped,
-        }
+        report.extras["concerns_in"] = len(concerns)
         self._write_summary(report)
         return report
 
@@ -449,7 +479,7 @@ class PipelineRunner:
     def stage_aggregate(self, retry_failed: bool = False) -> StageReport:
         if not self.paths.theme_assignments.exists():
             raise PipelineOrderError(STAGE_AGGREGATE, STAGE_CLASSIFY)
-        theme_concerns = self._themed_concerns()
+        theme_concerns = themed_concerns(self.paths)
 
         units = []
         for category in self.study.taxonomy.active:
@@ -480,7 +510,7 @@ class PipelineRunner:
 
             units.append((category.code, make_unit(category, concerns)))
 
-        done, report = self._run_units(
+        entries, report = self._run_units(
             STAGE_AGGREGATE,
             units,
             [self.paths.theme_assignments, self.paths.concerns],
@@ -488,16 +518,20 @@ class PipelineRunner:
         )
 
         written = []
-        for key, _ in units:
-            entry = done.get(key)
-            if entry and entry["status"] == "ok":
-                path = self.paths.subthemes(key)
-                path.write_text(
+        for entry in entries:
+            if entry["status"] == "ok":
+                ndjson.write_text(
+                    self.paths.subthemes(entry["key"]),
                     json.dumps(entry["payload"]["subthemes"], sort_keys=True,
                                indent=2, ensure_ascii=False) + "\n",
-                    encoding="utf-8",
                 )
-                written.append(key)
+                written.append(entry["key"])
+        # A theme that lost its concerns or whose aggregation now fails must
+        # not leave an older sub-theme set for prevalence, report and eval.
+        keep = {self.paths.subthemes(key) for key in written}
+        for path in self.paths.subtheme_files():
+            if path not in keep:
+                path.unlink()
 
         report.extras = {
             "themes_with_concerns": len(units),
@@ -509,112 +543,62 @@ class PipelineRunner:
     # -- stage: prevalence ----------------------------------------------------
 
     def stage_prevalence(self, retry_failed: bool = False) -> StageReport:
-        subtheme_files = self.paths.subtheme_files()
-        if not subtheme_files:
+        subtheme_sets = load_subtheme_sets(self.paths)
+        if not subtheme_sets:
             raise PipelineOrderError(STAGE_PREVALENCE, STAGE_AGGREGATE)
-        theme_concerns = self._themed_concerns()
+        theme_concerns = themed_concerns(self.paths)
 
-        units = []
-        per_theme_counts: dict[str, int] = {}
-        for path in subtheme_files:
-            subthemes = SubThemeSet.from_dict(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
-            concerns = theme_concerns.get(subthemes.theme, [])
-            per_theme_counts[subthemes.theme] = len(concerns)
-            slices = chunk_slices(len(concerns), self.study.prevalence_chunk_size)
-            for index, (start, end) in enumerate(slices, start=1):
-                chunk = concerns[start:end]
+        def assigner(subthemes: SubThemeSet) -> LetterCall:
+            def assign(index: int, chunk: Sequence[Concern]) -> ChunkOutcome:
+                return prevalence_chunk(self.gateway, subthemes, chunk, self.study,
+                                        index, self.template_dir)
 
-                def make_unit(sub, chk, idx) -> Callable[[], UnitResult]:
-                    def run() -> UnitResult:
-                        outcome = prevalence_chunk(
-                            self.gateway, sub, chk, self.study, idx, self.template_dir
-                        )
-                        return _chunk_unit_result(
-                            f"{sub.theme}:{idx}", chk, outcome, theme=sub.theme
-                        )
+            return assign
 
-                    return run
-
-                units.append((f"{subthemes.theme}:{index}",
-                              make_unit(subthemes, chunk, index)))
-
-        inputs = [self.paths.theme_assignments, self.paths.concerns] + subtheme_files
-        done, report = self._run_units(STAGE_PREVALENCE, units, inputs, retry_failed)
-
-        assignments: list[dict] = []
-        failed_concerns = 0
-        remapped = 0
-        for key, _ in units:
-            entry = done.get(key)
-            if entry is None:
-                continue
-            if entry["status"] == "ok":
-                assignments.extend(entry["payload"]["assignments"])
-                remapped += entry["payload"].get("remapped", 0)
-            else:
-                failed_concerns += len(entry["payload"].get("concern_ids", []))
-        assignments.sort(key=lambda a: a["concern_id"])
-        ndjson.write_records(self.paths.subtheme_assignments, assignments)
-
-        report.extras = {
-            "themed_concerns": per_theme_counts,
-            "assigned": len(assignments),
-            "failed_concerns": failed_concerns,
-            "remapped_to_catch_all": remapped,
+        themes = [
+            (s.theme, theme_concerns.get(s.theme, []), assigner(s))
+            for s in subtheme_sets
+        ]
+        report = self._run_letter_chunks(
+            STAGE_PREVALENCE,
+            themes,
+            self.study.prevalence_chunk_size,
+            [self.paths.theme_assignments, self.paths.concerns]
+            + self.paths.subtheme_files(),
+            self.paths.subtheme_assignments,
+            retry_failed,
+        )
+        report.extras["themed_concerns"] = {
+            theme: len(concerns) for theme, concerns, _ in themes
         }
         self._write_summary(report)
         return report
 
-    # -- shared -----------------------------------------------------------
+    # -- whole runs -----------------------------------------------------------
 
-    def _themed_concerns(self) -> dict[str, list[Concern]]:
-        """Concerns grouped by assigned theme, excluding the catch-all.
-
-        Concerns routed to the catch-all are filtered out here and never
-        reach aggregation or prevalence.
-        """
-        concerns = load_concerns(self.paths.concerns)
-        assignment_by_id = {
-            a["concern_id"]: a["code"]
-            for a in ndjson.iter_records(self.paths.theme_assignments)
-        }
-        catch_all = self.study.taxonomy.catch_all.code
-        out: dict[str, list[Concern]] = {}
-        for concern in concerns:
-            code = assignment_by_id.get(concern.concern_id)
-            if code is None or code == catch_all:
-                continue
-            out.setdefault(code, []).append(concern)
-        return out
+    def run_stage(self, stage: str, retry_failed: bool = False) -> StageReport:
+        """Run one of STAGES by name."""
+        if stage not in STAGES:
+            raise ValueError(f"unknown stage {stage!r}")
+        # Looked up per call, so a wrapped stage method is the one that runs.
+        return getattr(self, f"stage_{stage}")(retry_failed)
 
     def run_all(self, retry_failed: bool = False) -> list[StageReport]:
-        return [
-            self.stage_generate(retry_failed),
-            self.stage_classify(retry_failed),
-            self.stage_aggregate(retry_failed),
-            self.stage_prevalence(retry_failed),
-        ]
+        return [self.run_stage(stage, retry_failed) for stage in STAGES]
 
     def retry_failed(self) -> list[StageReport]:
         """Re-execute failed units of every stage that has already run."""
-        reports = []
-        stage_methods = {
-            STAGE_GENERATE: self.stage_generate,
-            STAGE_CLASSIFY: self.stage_classify,
-            STAGE_AGGREGATE: self.stage_aggregate,
-            STAGE_PREVALENCE: self.stage_prevalence,
-        }
-        for stage in STAGES:
-            if self.paths.checkpoint(stage).exists():
-                reports.append(stage_methods[stage](retry_failed=True))
-        return reports
+        return [
+            self.run_stage(stage, retry_failed=True)
+            for stage in STAGES
+            if self.paths.checkpoint(stage).exists()
+        ]
 
 
-def _chunk_unit_result(
-    key: str, chunk: Sequence[Concern], outcome: ChunkOutcome, theme: str = ""
+def _letter_unit(
+    key: str, theme: str, index: int, chunk: Sequence[Concern], call: LetterCall
 ) -> UnitResult:
+    outcome = call(index, chunk)
     if outcome.ok:
         assert outcome.letters is not None
         assignments = []
@@ -643,6 +627,31 @@ def _count_values(records: Iterable[dict], field_name: str) -> dict[str, int]:
 
 def load_concerns(path: Path) -> list[Concern]:
     return [Concern.from_dict(r) for r in ndjson.iter_records(path)]
+
+
+def themed_concerns(paths: RunPaths) -> dict[str, list[Concern]]:
+    """Concerns grouped by assigned theme code, in concern_id order.
+
+    Concerns of a failed classification chunk have no assignment and are
+    left out.
+    """
+    code_by_id = {
+        a["concern_id"]: a["code"] for a in ndjson.iter_records(paths.theme_assignments)
+    }
+    out: dict[str, list[Concern]] = {}
+    for concern in load_concerns(paths.concerns):
+        code = code_by_id.get(concern.concern_id)
+        if code is not None:
+            out.setdefault(code, []).append(concern)
+    return out
+
+
+def load_subtheme_sets(paths: RunPaths) -> list[SubThemeSet]:
+    """Every theme's aggregation output, in file-name order."""
+    return [
+        SubThemeSet.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        for path in paths.subtheme_files()
+    ]
 
 
 def load_theme_assignments(path: Path) -> list[ThemeAssignment]:

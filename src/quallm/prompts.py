@@ -12,7 +12,7 @@ import re
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .models import BatchGroup, Concern, StudyConfig, SubThemeSet, ThemeCategory
 
@@ -96,15 +96,6 @@ def numbered_concern_lines(concerns: Sequence[Concern]) -> str:
     )
 
 
-def concern_text_lines(concerns: Sequence[Concern]) -> str:
-    """Title and description on consecutive lines, per the aggregation format."""
-    parts = []
-    for c in concerns:
-        parts.append(c.title)
-        parts.append(c.description)
-    return "\n".join(parts)
-
-
 def render_generation_prompt(
     group: BatchGroup,
     config: StudyConfig,
@@ -142,12 +133,14 @@ def render_classification_prompt(
     )
 
 
-def render_aggregation_prompt(
+def _render_aggregation(
     category: ThemeCategory,
-    concerns: Sequence[Concern],
+    pairs: Iterable[tuple[str, str]],
     config: StudyConfig,
-    template_dir: Optional[Path] = None,
+    template_dir: Optional[Path],
 ) -> str:
+    """Aggregation prompt listing (title, description) pairs on consecutive
+    lines, per the aggregation format."""
     template = load_template("aggregation", template_dir)
     described = f"{category.name}: {category.description}" if category.description \
         else category.name
@@ -157,8 +150,19 @@ def render_aggregation_prompt(
             "source": config.source_description,
             "category": described,
             "n": str(config.subtheme_count),
-            "concerns": concern_text_lines(concerns),
+            "concerns": "\n".join(line for pair in pairs for line in pair),
         },
+    )
+
+
+def render_aggregation_prompt(
+    category: ThemeCategory,
+    concerns: Sequence[Concern],
+    config: StudyConfig,
+    template_dir: Optional[Path] = None,
+) -> str:
+    return _render_aggregation(
+        category, ((c.title, c.description) for c in concerns), config, template_dir
     )
 
 
@@ -169,22 +173,11 @@ def render_merge_prompt(
     template_dir: Optional[Path] = None,
 ) -> str:
     """Aggregation prompt over candidate sub-themes from the map calls."""
-    template = load_template("aggregation", template_dir)
-    lines: list[str] = []
-    for candidate_set in candidates:
-        for entry in candidate_set.by_rank():
-            lines.append(entry.title)
-            lines.append(entry.description)
-    described = f"{category.name}: {category.description}" if category.description \
-        else category.name
-    return fill_slots(
-        template,
-        {
-            "source": config.source_description,
-            "category": described,
-            "n": str(config.subtheme_count),
-            "concerns": "\n".join(lines),
-        },
+    return _render_aggregation(
+        category,
+        ((e.title, e.description) for c in candidates for e in c.by_rank()),
+        config,
+        template_dir,
     )
 
 

@@ -296,7 +296,8 @@ def write_reports(
     subtheme_assignments: Sequence[SubThemeAssignment],
     quotes: Optional[QuoteMap] = None,
 ) -> list[Path]:
-    """Write report.md, distribution.csv and one CSV per theme table."""
+    """Write report.md, distribution.csv and one CSV per theme table,
+    removing the CSV of any theme not among *subtheme_sets*."""
     written: list[Path] = []
     dist = compute_theme_distribution(theme_assignments, taxonomy)
 
@@ -320,6 +321,10 @@ def write_reports(
         csv_path = run_dir / f"theme_{subthemes.theme}.csv"
         csv_path.write_text(render_theme_table_csv(table, quotes), encoding="utf-8")
         written.append(csv_path)
+    # A theme whose sub-theme set is gone must not keep its old table.
+    for stale in run_dir.glob("theme_*.csv"):
+        if stale not in written:
+            stale.unlink()
 
     report_path = run_dir / "report.md"
     report_path.write_text("\n".join(sections), encoding="utf-8")

@@ -26,10 +26,8 @@ from .models import (
     BatchGroup,
     Concern,
     StudyConfig,
-    SubThemeAssignment,
     SubThemeEntry,
     SubThemeSet,
-    ThemeAssignment,
     ThemeCategory,
 )
 from .prompts import (
@@ -391,52 +389,6 @@ def classify_chunk(
     )
 
 
-@dataclass
-class ClassificationResult:
-    assignments: list[ThemeAssignment]
-    failed_chunks: list[ChunkOutcome]
-    remapped: int
-
-    @property
-    def failed_concern_ids(self) -> list[str]:
-        return [cid for chunk in self.failed_chunks for cid in chunk.concern_ids]
-
-
-def run_classification(
-    gateway: Gateway,
-    concerns: Sequence[Concern],
-    config: StudyConfig,
-    template_dir: Optional[Path] = None,
-) -> ClassificationResult:
-    """Classify concerns into top-level themes in numbered chunks.
-
-    Conservation holds by construction: every input concern ends up
-    either in ``assignments`` or in a failed chunk.
-    """
-    if not concerns:
-        raise ValueError("run_classification requires a non-empty concern list")
-    assignments: list[ThemeAssignment] = []
-    failed: list[ChunkOutcome] = []
-    remapped = 0
-    for index, (start, end) in enumerate(
-        chunk_slices(len(concerns), config.classification_chunk_size), start=1
-    ):
-        chunk = concerns[start:end]
-        outcome = classify_chunk(gateway, chunk, config, index, template_dir)
-        if outcome.ok:
-            assert outcome.letters is not None
-            assignments.extend(
-                ThemeAssignment(concern_id=c.concern_id, code=letter)
-                for c, letter in zip(chunk, outcome.letters)
-            )
-            remapped += outcome.remapped
-        else:
-            failed.append(outcome)
-    return ClassificationResult(
-        assignments=assignments, failed_chunks=failed, remapped=remapped
-    )
-
-
 # ---------------------------------------------------------------------------
 # Aggregation (with map-reduce over the per-call budget)
 # ---------------------------------------------------------------------------
@@ -629,55 +581,3 @@ def prevalence_chunk(
         retries=config.parity_retries,
     )
 
-
-@dataclass
-class PrevalenceResult:
-    theme: str
-    assignments: list[SubThemeAssignment]
-    failed_chunks: list[ChunkOutcome]
-    remapped: int
-
-    @property
-    def failed_concern_ids(self) -> list[str]:
-        return [cid for chunk in self.failed_chunks for cid in chunk.concern_ids]
-
-
-def run_prevalence(
-    gateway: Gateway,
-    subthemes: SubThemeSet,
-    theme_concerns: Sequence[Concern],
-    config: StudyConfig,
-    template_dir: Optional[Path] = None,
-) -> PrevalenceResult:
-    """Assign each theme concern to a sub-theme letter or the catch-all."""
-    if not subthemes.entries:
-        raise ValueError("prevalence requires a validated, non-empty sub-theme set")
-    if not theme_concerns:
-        raise ValueError(f"theme {subthemes.theme}: no concerns to assign")
-    assignments: list[SubThemeAssignment] = []
-    failed: list[ChunkOutcome] = []
-    remapped = 0
-    for index, (start, end) in enumerate(
-        chunk_slices(len(theme_concerns), config.prevalence_chunk_size), start=1
-    ):
-        chunk = theme_concerns[start:end]
-        outcome = prevalence_chunk(
-            gateway, subthemes, chunk, config, index, template_dir
-        )
-        if outcome.ok:
-            assert outcome.letters is not None
-            assignments.extend(
-                SubThemeAssignment(
-                    concern_id=c.concern_id, theme=subthemes.theme, code=letter
-                )
-                for c, letter in zip(chunk, outcome.letters)
-            )
-            remapped += outcome.remapped
-        else:
-            failed.append(outcome)
-    return PrevalenceResult(
-        theme=subthemes.theme,
-        assignments=assignments,
-        failed_chunks=failed,
-        remapped=remapped,
-    )

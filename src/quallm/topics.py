@@ -343,8 +343,7 @@ def evaluate_aggregation(
     reported, since either reading of "across all the sub-themes" is
     defensible.
     """
-    from .models import SubThemeSet
-    from .pipeline import RunPaths, load_concerns
+    from .pipeline import RunPaths, load_subtheme_sets, themed_concerns
 
     paths = RunPaths(run_dir)
     for required, stage in (
@@ -355,30 +354,18 @@ def evaluate_aggregation(
             raise FileNotFoundError(
                 f"missing stage output {required.name}; run '{stage}' first"
             )
-    subtheme_files = paths.subtheme_files()
-    if not subtheme_files:
+    subtheme_sets = load_subtheme_sets(paths)
+    if not subtheme_sets:
         raise FileNotFoundError("missing sub-theme files; run 'aggregate' first")
-
-    from . import ndjson
-
-    concerns = load_concerns(paths.concerns)
-    code_by_id = {
-        record["concern_id"]: record["code"]
-        for record in ndjson.iter_records(paths.theme_assignments)
-    }
+    theme_concerns = themed_concerns(paths)
 
     per_theme: list[ThemeAlignment] = []
     pooled_pairs: list[tuple[str, str]] = []
     pooled_in_window: dict[int, set[tuple[str, str]]] = {k: set() for k in ks}
 
-    for path in subtheme_files:
-        subthemes = SubThemeSet.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    for subthemes in subtheme_sets:
         theme = subthemes.theme
-        corpus = [
-            f"{c.title} {c.description}"
-            for c in concerns
-            if code_by_id.get(c.concern_id) == theme
-        ]
+        corpus = [f"{c.title} {c.description}" for c in theme_concerns.get(theme, [])]
         external = (
             external_topics_dir / f"topics_{theme}.json"
             if external_topics_dir is not None

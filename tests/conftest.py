@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from types import SimpleNamespace
+
 import pytest
 
+from quallm import ndjson
 from quallm.gateway import Gateway, MockBackend, RetryPolicy
 from quallm.models import (
     BatchGroup,
@@ -15,6 +19,7 @@ from quallm.models import (
     ThemeTaxonomy,
     ThreadDocument,
 )
+from quallm.pipeline import PipelineRunner, RunPaths
 
 
 def make_taxonomy(active: int = 4) -> ThemeTaxonomy:
@@ -90,6 +95,38 @@ def scripted_gateway(entries, default_text=None, **kwargs) -> Gateway:
     )
     gateway.slept = slept  # exposed for assertions
     return gateway
+
+
+def run_letter_stage(run_dir, study, entries, concerns, subthemes=None):
+    """Run classify over *concerns* on a scripted gateway, or prevalence
+    when *subthemes* is given (every concern then belongs to its theme).
+
+    Returns the gateway, the stage report and summary, the stage's output
+    records and the checkpoint entries of its failed units.
+    """
+    paths = RunPaths(run_dir)
+    ndjson.write_records(paths.concerns, [c.to_dict() for c in concerns])
+    stage, output = "classify", paths.theme_assignments
+    if subthemes is not None:
+        stage, output = "prevalence", paths.subtheme_assignments
+        ndjson.write_records(
+            paths.theme_assignments,
+            [{"concern_id": c.concern_id, "code": subthemes.theme} for c in concerns],
+        )
+        ndjson.write_text(paths.subthemes(subthemes.theme),
+                          json.dumps(subthemes.to_dict()))
+    gateway = scripted_gateway(entries)
+    report = PipelineRunner(paths, study, gateway, workers=2).run_stage(stage)
+    return SimpleNamespace(
+        gateway=gateway,
+        report=report,
+        summary=json.loads(paths.summary(stage).read_text(encoding="utf-8")),
+        assignments=list(ndjson.iter_records(output)),
+        failed=[
+            r for r in ndjson.iter_records(paths.checkpoint(stage))
+            if r["status"] == "failed"
+        ],
+    )
 
 
 @pytest.fixture

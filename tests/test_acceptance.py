@@ -22,10 +22,10 @@ from quallm.metrics import binomial_significance, fleiss_kappa
 from quallm.models import SubThemeEntry, SubThemeSet
 from quallm.pipeline import RunPaths
 from quallm.report import compute_prevalence_table, render_percent
-from quallm.stages import parse_generation_output, run_classification
+from quallm.stages import parse_generation_output
 from quallm.topics import TopicParams, coverage_k, distinctness, extract_topics
 
-from conftest import make_group, make_taxonomy, scripted_gateway
+from conftest import make_group, make_taxonomy, run_letter_stage
 
 
 def passline(number: int, text: str) -> None:
@@ -336,7 +336,7 @@ def test_criterion_6_topic_alignment_properties(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_7_contract_enforcement(study):
+def test_criterion_7_contract_enforcement(study, tmp_path):
     from conftest import make_concern
 
     rng = random.Random(777)
@@ -377,14 +377,16 @@ def test_criterion_7_contract_enforcement(study):
                 entries.append(
                     {"request_tag": f"cls:{index}", "response_text": payload}
                 )
-        gateway = scripted_gateway(entries)
-        result = run_classification(gateway, concerns, study)
+        run = run_letter_stage(tmp_path / f"t{trial:03d}", study, entries, concerns)
+        summary = run.summary
+        assert len(run.assignments) == summary["assigned"]
         assert (
-            len(result.assignments) + len(result.failed_concern_ids) == count
+            summary["assigned"] + summary["failed_concerns"] == summary["concerns_in"]
+            == count
         ), f"conservation broken on trial {trial}"
-        assert len(result.failed_concern_ids) == expected_failed
-        for chunk in result.failed_chunks:
-            assert chunk.failure.attempts == study.parity_retries + 1
+        assert summary["failed_concerns"] == expected_failed
+        for chunk in run.failed:
+            assert chunk["attempts"] == study.parity_retries + 1
 
     group = make_group()
     assert parse_generation_output("  No Concerns  ", group) == []

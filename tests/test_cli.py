@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,10 @@ import pytest
 import quallm
 from quallm import ndjson
 from quallm.cli import main
+from quallm.config import load_config
 from quallm.fixtures import build_demo_fixture
+from quallm.gateway import Gateway, MockBackend
+from quallm.pipeline import PipelineRunner, RunPaths
 
 
 @pytest.fixture()
@@ -178,6 +182,107 @@ def test_cost_command_from_run_log(fixture, capsys):
     assert rc == 0
     cost_md = (fixture.run_dir / "cost.md").read_text()
     assert "Total Expenditure" in cost_md
+
+
+def _script_reask(fixture, tag):
+    """Make the first answer to *tag* break parity, so the stage re-asks."""
+    entries = list(ndjson.iter_records(fixture.script_path))
+    ndjson.write_records(
+        fixture.script_path,
+        [{"request_tag": tag, "response_text": '{"1": "A"}'}] + entries,
+    )
+
+
+def _log_tokens(run_dir, prefix=""):
+    ok = [
+        r for r in ndjson.iter_records(run_dir / "llm_log.ndjson")
+        if r["outcome"] == "ok" and r["request_tag"].startswith(prefix)
+    ]
+    return sum(r["input_tokens"] for r in ok), sum(r["output_tokens"] for r in ok)
+
+
+def _cost_md_tokens(run_dir):
+    text = (run_dir / "cost.md").read_text()
+    return tuple(
+        int(re.search(rf"Total {side} Tokens \| ([\d,]+)", text).group(1).replace(",", ""))
+        for side in ("Input", "Output")
+    )
+
+
+def test_cost_counts_every_billed_call(fixture):
+    _script_reask(fixture, "cls:1")
+    run_ingest(fixture)
+    paths = RunPaths(fixture.run_dir)
+    gateway = Gateway(MockBackend.from_script(fixture.script_path),
+                      sleep=lambda _: None, run_log_path=paths.llm_log)
+    runner = PipelineRunner(paths, load_config(fixture.config_path).study(), gateway)
+    assert [r.failed for r in runner.run_all()] == [0, 0, 0, 0]
+    tags = [r["request_tag"] for r in ndjson.iter_records(paths.llm_log)]
+    assert tags.count("cls:1") == 2  # the re-ask reuses its tag
+
+    assert main(["cost", "--config", str(fixture.config_path)]) == 0
+    assert _cost_md_tokens(fixture.run_dir) == _log_tokens(fixture.run_dir)
+    assert _cost_md_tokens(fixture.run_dir) == gateway.ledger.snapshot()
+
+
+def test_run_all_prints_each_stages_tokens(fixture, capsys):
+    _script_reask(fixture, "cls:1")
+    run_ingest(fixture)
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(fixture.config_path)]) == 0
+    lines = re.findall(r"^\[(\w+)\] tokens this stage: (\d+) in / (\d+) out$",
+                       capsys.readouterr().out, re.MULTILINE)
+    assert [stage for stage, _, _ in lines] == [
+        "generate", "classify", "aggregate", "prevalence"
+    ]
+    for (stage, tokens_in, tokens_out), prefix in zip(
+        lines, ("gen:", "cls:", "agg:", "prev:")
+    ):
+        assert (int(tokens_in), int(tokens_out)) == _log_tokens(fixture.run_dir, prefix)
+    assert tuple(
+        sum(int(line[i]) for line in lines) for i in (1, 2)
+    ) == _log_tokens(fixture.run_dir)
+
+
+def test_stale_theme_outputs_removed(fixture):
+    run_ingest(fixture)
+    cfg = ["--config", str(fixture.config_path)]
+    assert main(["run-all", *cfg]) == 0
+    assert main(["report", *cfg]) == 0
+    run_dir = fixture.run_dir
+    assert {p.name for p in run_dir.glob("theme_*.csv")} == {
+        f"theme_{t}.csv" for t in "ABCD"
+    }
+
+    # Re-classify with every D concern sent to the catch-all, and make
+    # theme C's aggregation fail from now on.
+    entries = []
+    for entry in ndjson.iter_records(fixture.script_path):
+        tag = entry["request_tag"]
+        if tag.startswith("cls:"):
+            entry["response_text"] = entry["response_text"].replace('"D"', '"E"')
+        if tag == "agg:C":
+            entry = {"request_tag": tag, "failure": "content_filtered"}
+        entries.append(entry)
+    ndjson.write_records(fixture.script_path, entries)
+    (run_dir / "checkpoints" / "classify.ndjson").unlink()
+
+    assert main(["classify", *cfg]) == 0
+    assert main(["aggregate", *cfg]) == 4  # theme C failed
+    assert sorted(p.name for p in run_dir.glob("subthemes_*.json")) == [
+        "subthemes_A.json", "subthemes_B.json"
+    ]
+    assert main(["prevalence", *cfg]) == 0
+    themes = {r["theme"] for r in ndjson.iter_records(run_dir / "subtheme_assignments.ndjson")}
+    assert themes == {"A", "B"}
+    assert main(["report", *cfg]) == 0
+    assert sorted(p.name for p in run_dir.glob("theme_*.csv")) == [
+        "theme_A.csv", "theme_B.csv"
+    ]
+    assert main(["eval", *cfg, "--metrics", "aggregation", "--min-topic-size", "1"]) == 0
+    [mean] = [m for m in json.loads((run_dir / "metrics.json").read_text())["metrics"]
+              if m["name"] == "distinctness_mean"]
+    assert set(mean["details"]["per_theme"]) == {"A", "B"}
 
 
 def test_eval_factuality_fixture(fixture, tmp_path, capsys):

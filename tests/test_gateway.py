@@ -14,7 +14,6 @@ from quallm.gateway import (
     RetryPolicy,
     TokenLedger,
     cost_report,
-    record_usage,
 )
 
 from conftest import scripted_gateway
@@ -173,15 +172,13 @@ def test_mock_outputs_and_ledger_identical_across_concurrency():
 # ---------------------------------------------------------------------------
 
 
-def test_record_usage_accumulates_and_commutes():
-    a = CompletionResult(text="", input_tokens=100, output_tokens=50, attempts=1)
-    b = CompletionResult(text="", input_tokens=7, output_tokens=3, attempts=1)
+def test_ledger_add_accumulates_and_commutes():
     first = TokenLedger()
-    record_usage(first, a)
-    record_usage(first, b)
+    first.add(100, 50)
+    first.add(7, 3)
     second = TokenLedger()
-    record_usage(second, b)
-    record_usage(second, a)
+    second.add(7, 3)
+    second.add(100, 50)
     assert first.snapshot() == second.snapshot() == (107, 53)
 
 
@@ -192,7 +189,7 @@ def test_ledger_replay_equals_per_request_sum():
     ]
     ledger = TokenLedger()
     for result in results:
-        record_usage(ledger, result)
+        ledger.add(result.input_tokens, result.output_tokens)
     assert ledger.snapshot() == (
         sum(r.input_tokens for r in results),
         sum(r.output_tokens for r in results),

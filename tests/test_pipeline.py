@@ -199,6 +199,20 @@ def test_checkpoint_last_entry_per_key_wins(tmp_path):
     assert entries["u1"]["status"] == "ok"
 
 
+def test_write_records_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "out.ndjson"
+    ndjson.write_records(path, [{"n": 1}])
+
+    def records():
+        yield {"n": 2}
+        raise RuntimeError("interrupted mid-write")
+
+    with pytest.raises(RuntimeError):
+        ndjson.write_records(path, records())
+    assert path.read_text() == '{"n": 1}\n'
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_input_change_invalidates_stale_checkpoint(fixture, tmp_path):
     run_dir = tmp_path / "run"
     ingest_into(fixture, run_dir)

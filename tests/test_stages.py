@@ -14,8 +14,6 @@ from quallm.stages import (
     parse_subtheme_output,
     plan_aggregation,
     run_aggregation,
-    run_classification,
-    run_prevalence,
     strip_code_fences,
     verify_quote,
 )
@@ -25,6 +23,7 @@ from conftest import (
     make_doc,
     make_group,
     make_subthemes,
+    run_letter_stage,
     scripted_gateway,
 )
 
@@ -180,73 +179,74 @@ def _concerns(n, prefix="feedbeef00000001"):
     ]
 
 
-def test_classification_happy_path(study):
-    gateway = scripted_gateway(
-        [{"request_tag": "cls:1", "response_text": '{"1": "A", "2": "E"}'}]
-    )
+def _codes(run):
+    return [a["code"] for a in run.assignments]
+
+
+def test_classification_happy_path(study, tmp_path):
     concerns = _concerns(2)
-    result = run_classification(gateway, concerns, study)
-    assert [(a.concern_id, a.code) for a in result.assignments] == [
+    run = run_letter_stage(
+        tmp_path, study,
+        [{"request_tag": "cls:1", "response_text": '{"1": "A", "2": "E"}'}],
+        concerns,
+    )
+    assert [(a["concern_id"], a["code"]) for a in run.assignments] == [
         (concerns[0].concern_id, "A"),
         (concerns[1].concern_id, "E"),
     ]
-    assert result.failed_chunks == []
+    assert run.failed == []
+    assert run.report.failed == 0
 
 
-def test_classification_parity_violation_retried_then_failed(study):
+def test_classification_parity_violation_retried_then_failed(study, tmp_path):
     # three concerns but the mock always answers with two entries
     bad = {"request_tag": "cls:1", "response_text": '{"1": "A", "2": "B"}'}
-    gateway = scripted_gateway([bad, bad, bad])
-    result = run_classification(gateway, _concerns(3), study)
-    assert result.assignments == []
-    [chunk] = result.failed_chunks
-    assert chunk.failure.category == "malformed_output"
-    assert gateway.backend.calls == 3  # initial + 2 parity retries
+    run = run_letter_stage(tmp_path, study, [bad, bad, bad], _concerns(3))
+    assert run.assignments == []
+    [chunk] = run.failed
+    assert chunk["category"] == "malformed_output"
+    assert run.gateway.backend.calls == 3  # initial + 2 parity retries
 
 
-def test_classification_parity_retry_can_recover(study):
+def test_classification_parity_retry_can_recover(study, tmp_path):
     entries = [
         {"request_tag": "cls:1", "response_text": '{"1": "A"}'},
         {"request_tag": "cls:1", "response_text": '{"1": "A", "2": "B", "3": "C"}'},
     ]
-    gateway = scripted_gateway(entries)
-    result = run_classification(gateway, _concerns(3), study)
-    assert [a.code for a in result.assignments] == ["A", "B", "C"]
-    assert gateway.backend.calls == 2
+    run = run_letter_stage(tmp_path, study, entries, _concerns(3))
+    assert _codes(run) == ["A", "B", "C"]
+    assert run.gateway.backend.calls == 2
 
 
-def test_classification_unknown_letter_remaps_to_catch_all(study):
-    gateway = scripted_gateway(
-        [{"request_tag": "cls:1", "response_text": '{"1": "Z", "2": "B"}'}]
+def test_classification_unknown_letter_remaps_to_catch_all(study, tmp_path):
+    run = run_letter_stage(
+        tmp_path, study,
+        [{"request_tag": "cls:1", "response_text": '{"1": "Z", "2": "B"}'}],
+        _concerns(2),
     )
-    result = run_classification(gateway, _concerns(2), study)
-    assert [a.code for a in result.assignments] == ["E", "B"]
-    assert result.remapped == 1
+    assert _codes(run) == ["E", "B"]
+    assert run.summary["remapped_to_catch_all"] == 1
 
 
-def test_classification_chunks_and_conservation(study):
+def test_classification_chunks_and_conservation(study, tmp_path):
     # chunk size 3 and 7 concerns -> chunks of 3, 3, 1; middle chunk fails
     entries = [
         {"request_tag": "cls:1", "response_text": '{"1": "A", "2": "B", "3": "C"}'},
         {"request_tag": "cls:2", "failure": "content_filtered"},
         {"request_tag": "cls:3", "response_text": '{"1": "D"}'},
     ]
-    gateway = scripted_gateway(entries)
     concerns = _concerns(7)
-    result = run_classification(gateway, concerns, study)
-    assert len(result.assignments) == 4
-    assert len(result.failed_concern_ids) == 3
-    assert len(result.assignments) + len(result.failed_concern_ids) == len(concerns)
-    [failed] = result.failed_chunks
-    assert failed.failure.category == "content_filtered"
+    run = run_letter_stage(tmp_path, study, entries, concerns)
+    assert len(run.assignments) == 4
+    assert run.summary["failed_concerns"] == 3
+    assert run.summary["assigned"] + run.summary["failed_concerns"] == len(concerns)
+    assert run.summary["concerns_in"] == len(concerns)
+    [failed] = run.failed
+    assert failed["category"] == "content_filtered"
+    assert len(failed["payload"]["concern_ids"]) == 3
 
 
-def test_classification_rejects_empty_input(study):
-    with pytest.raises(ValueError):
-        run_classification(scripted_gateway([]), [], study)
-
-
-def test_classification_fault_injection_conservation(study):
+def test_classification_fault_injection_conservation(study, tmp_path):
     """Randomized parity faults: conservation must hold on every run."""
     rng = random.Random(42)
     letters = list(study.taxonomy.codes)
@@ -281,10 +281,10 @@ def test_classification_fault_injection_conservation(study):
                         "response_text": json.dumps(good),
                     }
                 )
-        gateway = scripted_gateway(entries)
-        result = run_classification(gateway, concerns, study)
-        assert len(result.assignments) + len(result.failed_concern_ids) == count
-        assert len(result.failed_concern_ids) == expected_failed
+        run = run_letter_stage(tmp_path / str(trial), study, entries, concerns)
+        assert len(run.assignments) == run.summary["assigned"]
+        assert run.summary["assigned"] + run.summary["failed_concerns"] == count
+        assert run.summary["failed_concerns"] == expected_failed
 
 
 # ---------------------------------------------------------------------------
@@ -404,40 +404,41 @@ def test_parse_subtheme_output_duplicate_titles_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_prevalence_assigns_subthemes_and_catch_all(study):
-    subthemes = make_subthemes("A", n=5)
-    gateway = scripted_gateway(
-        [{"request_tag": "prev:A:1", "response_text": '{"1": "A", "2": "F", "3": "B"}'}]
+def test_prevalence_assigns_subthemes_and_catch_all(study, tmp_path):
+    run = run_letter_stage(
+        tmp_path, study,
+        [{"request_tag": "prev:A:1", "response_text": '{"1": "A", "2": "F", "3": "B"}'}],
+        _concerns(3),
+        subthemes=make_subthemes("A", n=5),
     )
-    result = run_prevalence(gateway, subthemes, _concerns(3), study)
-    assert [a.code for a in result.assignments] == ["A", "F", "B"]
-    assert all(a.theme == "A" for a in result.assignments)
+    assert _codes(run) == ["A", "F", "B"]
+    assert all(a["theme"] == "A" for a in run.assignments)
 
 
 def test_prevalence_empty_subthemes_is_precondition_error(study):
     with pytest.raises(ValueError):
         SubThemeSet(theme="A", entries=())
-    with pytest.raises(ValueError):
-        run_prevalence(scripted_gateway([]), make_subthemes("A"), [], study)
 
 
-def test_prevalence_parity_contract_mirrors_classification(study):
-    subthemes = make_subthemes("B", n=5)
+def test_prevalence_parity_contract_mirrors_classification(study, tmp_path):
     bad = {"request_tag": "prev:B:1", "response_text": '{"1": "A"}'}
-    gateway = scripted_gateway([bad, bad, bad])
-    result = run_prevalence(gateway, subthemes, _concerns(2), study)
-    assert result.assignments == []
-    assert len(result.failed_concern_ids) == 2
+    run = run_letter_stage(tmp_path, study, [bad, bad, bad], _concerns(2),
+                           subthemes=make_subthemes("B", n=5))
+    assert run.assignments == []
+    assert run.summary["failed_concerns"] == 2
+    [chunk] = run.failed
+    assert len(chunk["payload"]["concern_ids"]) == 2
 
 
-def test_prevalence_unknown_letter_goes_to_catch_all(study):
-    subthemes = make_subthemes("A", n=5)
-    gateway = scripted_gateway(
-        [{"request_tag": "prev:A:1", "response_text": '{"1": "Q", "2": "C"}'}]
+def test_prevalence_unknown_letter_goes_to_catch_all(study, tmp_path):
+    run = run_letter_stage(
+        tmp_path, study,
+        [{"request_tag": "prev:A:1", "response_text": '{"1": "Q", "2": "C"}'}],
+        _concerns(2),
+        subthemes=make_subthemes("A", n=5),
     )
-    result = run_prevalence(gateway, subthemes, _concerns(2), study)
-    assert [a.code for a in result.assignments] == ["F", "C"]
-    assert result.remapped == 1
+    assert _codes(run) == ["F", "C"]
+    assert run.summary["remapped_to_catch_all"] == 1
 
 
 # ---------------------------------------------------------------------------
