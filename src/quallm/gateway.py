@@ -4,6 +4,17 @@ Two backends share one wire contract: a live HTTP backend speaking the
 common chat-completions JSON format, and a deterministic scripted mock
 used for tests and offline runs.  ``Gateway.complete`` owns the retry
 policy; stages never talk to a backend directly.
+
+All workers of one ``Gateway`` share one ``ThrottleGate``.  A 429 that
+carries a server retry hint (``retry-after-ms``, else ``Retry-After``
+delta-seconds, RFC 9110 section 10.2.3) closes the gate until the hint
+runs out, and every send first waits at the gate.  The budget of a call
+is the time the ``RetryPolicy`` schedule would sleep over
+``max_attempts``.  A hinted 429 does not spend an attempt as long as
+the call's hinted waits (each charged at least 1/16 of ``base_delay``)
+fit in that budget, and no hint closes the gate for longer than it.
+Past the budget, and for hint-less 429s, 5xx replies and network
+errors, each failure spends an attempt followed by an exponential delay.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import ndjson
 
@@ -49,10 +60,6 @@ class CompletionRequest:
             raise ValueError("temperature must be within [0, 2]")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
-
-    @property
-    def prompt_chars(self) -> int:
-        return sum(len(text) for _, text in self.messages)
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,13 @@ class BackendError(Exception):
 
 
 class ThrottledError(BackendError):
+    """A 429; *retry_after* is the server's hint in seconds, if it gave one."""
+
     category = THROTTLED
+
+    def __init__(self, message: str = "", retry_after: Optional[float] = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ContentFilteredError(BackendError):
@@ -101,6 +114,25 @@ class MalformedOutputError(BackendError):
 
 class NetworkError(BackendError):
     category = NETWORK
+
+
+def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
+    """Seconds a 429's headers ask the client to wait, or None.
+
+    ``retry-after-ms`` is read first, because servers that send it next to
+    ``Retry-After`` round the latter up to whole seconds.  ``Retry-After``
+    is read in its delta-seconds form only; an HTTP-date yields None.
+    """
+    try:
+        seconds = float(headers.get("retry-after-ms")) / 1000
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if seconds >= 0 and math.isfinite(seconds):
+        return seconds
+    value = (headers.get("Retry-After") or "").strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    return None
 
 
 def estimate_tokens(text: str) -> int:
@@ -222,7 +254,8 @@ class HttpBackend:
             raise NetworkError(str(exc)) from exc
 
         if response.status_code == 429:
-            raise ThrottledError(f"HTTP 429: {response.text[:200]}")
+            raise ThrottledError(f"HTTP 429: {response.text[:200]}",
+                                 retry_after=parse_retry_after(response.headers))
         if response.status_code >= 500:
             raise NetworkError(f"HTTP {response.status_code}")
         if response.status_code >= 400:
@@ -268,6 +301,12 @@ class RetryPolicy:
         """Delay before retry number *attempt* (1-based); nondecreasing."""
         base = self.base_delay * self.multiplier ** (attempt - 1)
         return base * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+
+    def budget(self) -> float:
+        """Seconds the un-jittered schedule sleeps over ``max_attempts``."""
+        return sum(
+            self.base_delay * self.multiplier ** k for k in range(self.max_attempts - 1)
+        )
 
 
 class TokenLedger:
@@ -320,13 +359,83 @@ def cost_report(ledger: TokenLedger) -> CostBreakdown:
     )
 
 
+class ThrottleGate:
+    """When the callers of one ``Gateway`` may send; shared by all of them.
+
+    A hinted 429 closes the gate until the hint runs out.  Callers that
+    arrive while it is closed queue up and are released one pacing
+    interval apart, so they do not all hit the server at the same instant;
+    a caller that finds the gate open sends at once.  The interval starts
+    at ``PACE_SEED_S``; a hinted 429 doubles it at most once per hint
+    window, never past the largest hint seen, and every admitted send
+    shortens it by 1/32.
+    """
+
+    PACE_SEED_S = 0.001
+
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
+        self._clock = clock
+        self._lock = threading.Lock()
+        self._opens = -math.inf  # clock time before which no send starts
+        self._next_slot = -math.inf  # earliest slot of the next queued caller
+        self._interval = 0.0
+        self._slowdown_ends = -math.inf
+        self._max_hint = 0.0
+
+    def _reserve(self) -> float:
+        now = self._clock()
+        if now >= self._opens:
+            return now
+        slot = max(self._opens, self._next_slot)
+        self._next_slot = slot + self._interval
+        return slot
+
+    def wait(self, sleep: Callable[[float], None]) -> float:
+        """Sleep until this caller may send; return the seconds slept.
+
+        A slot the gate has closed over since it was handed out is given up
+        for a new one.
+        """
+        waited = 0.0
+        with self._lock:
+            slot = self._reserve()
+        while True:
+            delay = slot - self._clock()
+            if delay > 0:
+                sleep(delay)
+                waited += delay
+                continue
+            with self._lock:
+                if self._opens <= slot:
+                    return waited
+                slot = self._reserve()
+
+    def close(self, hint: float) -> None:
+        """Keep every caller out for *hint* seconds from now."""
+        with self._lock:
+            now = self._clock()
+            self._opens = max(self._opens, now + hint)
+            self._max_hint = max(self._max_hint, hint)
+            if now >= self._slowdown_ends:
+                self._interval = min(self._max_hint,
+                                     max(2 * self._interval, self.PACE_SEED_S))
+                self._slowdown_ends = self._opens
+
+    def admitted(self) -> None:
+        """Record an admitted send: the pacing interval shrinks by 1/32."""
+        with self._lock:
+            self._interval -= self._interval / 32
+
+
 class Gateway:
     """Uniform completion access: one backend, one retry policy, one ledger.
 
     Throttle and transport errors are retried with exponential backoff up
     to the policy's attempt cap; content-policy rejections are never
-    retried (retrying cannot succeed and wastes budget).  Every outcome is
-    appended to the run log when one is configured.
+    retried (retrying cannot succeed and wastes budget).  A throttle that
+    carries a retry hint closes the gate shared by every caller instead
+    (see the module docstring).  Every outcome is appended to the run log
+    when one is configured.
     """
 
     def __init__(
@@ -340,6 +449,7 @@ class Gateway:
         model_name: str = "default",
         temperature: float = 0.2,
         max_output_tokens: int = 4096,
+        clock: Callable[[], float] = time.monotonic,
     ):
         self.backend = backend
         self.retry = retry
@@ -351,9 +461,13 @@ class Gateway:
         self._sleep = sleep
         self._rng = random.Random(seed)
         self._log_lock = threading.Lock()
+        self._gate = ThrottleGate(clock)
+        self._hint_budget = retry.budget()
+        # Least charge of one absorbed 429, so tiny hints cannot retry forever.
+        self._hint_floor = retry.base_delay / 16
 
     def _log(self, tag: str, outcome: str, attempts: int, input_tokens: int,
-             output_tokens: int) -> None:
+             output_tokens: int, throttled: int, waited_s: float) -> None:
         if self.run_log_path is None:
             return
         with self._log_lock:
@@ -365,6 +479,8 @@ class Gateway:
                     "attempts": attempts,
                     "input_tokens": input_tokens,
                     "output_tokens": output_tokens,
+                    "throttled": throttled,
+                    "waited_s": round(waited_s, 6),
                 },
             )
 
@@ -379,24 +495,40 @@ class Gateway:
         )
 
     def complete(self, request: CompletionRequest) -> CompletionOutcome:
-        attempts = 0
+        attempts = throttled = 0
+        waited = hinted = 0.0
         last_error: Optional[BackendError] = None
         while attempts < self.retry.max_attempts:
+            waited += self._gate.wait(self._sleep)
             attempts += 1
             try:
                 text, input_tokens, output_tokens = self.backend.send(request)
             except (ThrottledError, NetworkError) as exc:
                 last_error = exc
+                if isinstance(exc, ThrottledError):
+                    throttled += 1
+                    if exc.retry_after is not None:
+                        self._gate.close(min(exc.retry_after, self._hint_budget))
+                        charge = max(exc.retry_after, self._hint_floor)
+                        if 0 < charge <= self._hint_budget - hinted:
+                            hinted += charge
+                            attempts -= 1  # absorbed: the gate wait replaces backoff
+                            continue
                 if attempts < self.retry.max_attempts:
-                    self._sleep(self.retry.delay(attempts, self._rng))
+                    delay = self.retry.delay(attempts, self._rng)
+                    self._sleep(delay)
+                    waited += delay
                 continue
             except BackendError as exc:
-                self._log(request.request_tag, exc.category, attempts, 0, 0)
+                self._log(request.request_tag, exc.category, attempts, 0, 0,
+                          throttled, waited)
                 return GatewayFailure(
                     category=exc.category, attempts=attempts, detail=str(exc)
                 )
+            self._gate.admitted()
             self.ledger.add(input_tokens, output_tokens)
-            self._log(request.request_tag, "ok", attempts, input_tokens, output_tokens)
+            self._log(request.request_tag, "ok", attempts, input_tokens, output_tokens,
+                      throttled, waited)
             return CompletionResult(
                 text=text,
                 input_tokens=input_tokens,
@@ -405,7 +537,8 @@ class Gateway:
             )
 
         assert last_error is not None
-        self._log(request.request_tag, last_error.category, attempts, 0, 0)
+        self._log(request.request_tag, last_error.category, attempts, 0, 0,
+                  throttled, waited)
         return GatewayFailure(
             category=last_error.category, attempts=attempts, detail=str(last_error)
         )

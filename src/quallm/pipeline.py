@@ -299,10 +299,7 @@ class PipelineRunner:
                     stage,
                 )
                 checkpoint.discard()
-        meta_path.parent.mkdir(parents=True, exist_ok=True)
-        meta_path.write_text(
-            json.dumps({"input_fingerprint": fingerprint}) + "\n", encoding="utf-8"
-        )
+        ndjson.write_text(meta_path, json.dumps({"input_fingerprint": fingerprint}) + "\n")
 
         done = checkpoint.load()
         pending = [

@@ -303,7 +303,6 @@ def check_parity(mapping: dict[int, str], expected_count: int) -> None:
 class ChunkOutcome:
     """Result of one classification or prevalence chunk."""
 
-    index: int
     concern_ids: list[str]
     letters: Optional[list[str]] = None
     failure: Optional[GatewayFailure] = None
@@ -318,7 +317,6 @@ def _run_letter_chunk(
     gateway: Gateway,
     prompt: str,
     tag: str,
-    index: int,
     concern_ids: list[str],
     valid_codes: Sequence[str],
     catch_all: str,
@@ -328,7 +326,7 @@ def _run_letter_chunk(
     for attempt in range(retries + 1):
         reply = gateway.complete(gateway.request(prompt, tag))
         if isinstance(reply, GatewayFailure):
-            return ChunkOutcome(index=index, concern_ids=concern_ids, failure=reply)
+            return ChunkOutcome(concern_ids=concern_ids, failure=reply)
         try:
             mapping = parse_serial_letter_map(reply.text)
             check_parity(mapping, len(concern_ids))
@@ -350,11 +348,8 @@ def _run_letter_chunk(
                 letter = catch_all
                 remapped += 1
             letters.append(letter)
-        return ChunkOutcome(
-            index=index, concern_ids=concern_ids, letters=letters, remapped=remapped
-        )
+        return ChunkOutcome(concern_ids=concern_ids, letters=letters, remapped=remapped)
     return ChunkOutcome(
-        index=index,
         concern_ids=concern_ids,
         failure=GatewayFailure(
             category=MALFORMED_OUTPUT,
@@ -381,7 +376,6 @@ def classify_chunk(
         gateway,
         prompt,
         tag=f"cls:{chunk_index}",
-        index=chunk_index,
         concern_ids=[c.concern_id for c in concerns],
         valid_codes=config.taxonomy.codes,
         catch_all=config.taxonomy.catch_all.code,
@@ -574,7 +568,6 @@ def prevalence_chunk(
         gateway,
         prompt,
         tag=f"prev:{subthemes.theme}:{chunk_index}",
-        index=chunk_index,
         concern_ids=[c.concern_id for c in concerns],
         valid_codes=valid,
         catch_all=subthemes.catch_all_code,

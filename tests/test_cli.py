@@ -106,6 +106,34 @@ def test_full_cli_run_and_idempotent_rerun(fixture, capsys):
         assert fixture.run_dir.joinpath(name).read_bytes() == blob
 
 
+def test_failed_meta_write_keeps_old_meta(fixture, monkeypatch):
+    assert run_ingest(fixture) == 0
+    argv = ["generate", "--config", str(fixture.config_path)]
+    assert main(argv) == 0
+    meta = fixture.run_dir / "checkpoints" / "generate.meta.json"
+    old = '{"input_fingerprint": "from an earlier run"}\n'
+    meta.write_text(old, encoding="utf-8")
+
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst) == meta:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        main(argv)
+    assert meta.read_text(encoding="utf-8") == old
+    assert sorted(p.name for p in meta.parent.glob("*.tmp")) == []
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(argv) == 0
+    assert json.loads(meta.read_text(encoding="utf-8"))["input_fingerprint"] != (
+        "from an earlier run"
+    )
+
+
 def test_stage_by_stage_cli_matches_run_all(fixture, tmp_path):
     assert run_ingest(fixture) == 0
     for stage in ("generate", "classify", "aggregate", "prevalence"):

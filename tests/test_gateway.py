@@ -1,5 +1,7 @@
+import heapq
 import http.server
 import json
+import sys
 import threading
 
 import pytest
@@ -12,8 +14,11 @@ from quallm.gateway import (
     HttpBackend,
     MockBackend,
     RetryPolicy,
+    ThrottledError,
+    ThrottleGate,
     TokenLedger,
     cost_report,
+    parse_retry_after,
 )
 
 from conftest import scripted_gateway
@@ -167,6 +172,235 @@ def test_mock_outputs_and_ledger_identical_across_concurrency():
     assert run(16) == single
 
 
+def test_hintless_throttles_spend_attempts_and_are_logged(tmp_path):
+    log = tmp_path / "llm_log.ndjson"
+    entries = [{"request_tag": "t", "failure": "throttled"}] * 6
+    gateway = scripted_gateway(entries, run_log_path=log)
+    failure = gateway.complete(req("t"))
+    assert failure.category == "throttled"
+    assert failure.attempts == 6
+    (line,) = [json.loads(l) for l in log.read_text().splitlines()]
+    assert line["attempts"] == 6
+    assert line["throttled"] == 6
+    assert line["waited_s"] == pytest.approx(sum(gateway.slept))
+
+
+# ---------------------------------------------------------------------------
+# shared throttle gate (virtual time: no real sleeps)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("headers, expected", [
+    ({"retry-after-ms": "25"}, 0.025),
+    ({"retry-after-ms": "2.5"}, 0.0025),
+    ({"Retry-After": "3"}, 3.0),
+    ({"Retry-After": " 2 "}, 2.0),
+    ({"Retry-After": "1", "retry-after-ms": "7"}, 0.007),
+    ({"Retry-After": "1", "retry-after-ms": "soon"}, 1.0),
+    ({}, None),
+    ({"Retry-After": "soon"}, None),
+    ({"Retry-After": "-4"}, None),
+    ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, None),
+    ({"retry-after-ms": "nan"}, None),
+    ({"Retry-After": "²"}, None),
+    ({"retry-after-ms": "-1", "Retry-After": "x"}, None),
+])
+def test_parse_retry_after(headers, expected):
+    assert parse_retry_after(headers) == expected
+
+
+class VirtualTime:
+    """Discrete-event clock for *threads* workers: time stands still while any
+    worker runs and jumps to the earliest wake-up once all of them sleep."""
+
+    def __init__(self, threads: int):
+        self.now = 0.0
+        self._running = threads
+        self._wakes: list[float] = []
+        self._cond = threading.Condition()
+
+    def clock(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        with self._cond:
+            wake = self.now + seconds
+            heapq.heappush(self._wakes, wake)
+            self._running -= 1
+            self._advance()
+            while self.now < wake:
+                self._cond.wait()
+
+    def done(self) -> None:
+        with self._cond:
+            self._running -= 1
+            self._advance()
+
+    def _advance(self) -> None:
+        if self._running == 0 and self._wakes:
+            self.now = max(self.now, self._wakes[0])
+            while self._wakes and self._wakes[0] <= self.now:
+                heapq.heappop(self._wakes)
+                self._running += 1
+            self._cond.notify_all()
+
+
+class BucketBackend:
+    """Token bucket on virtual time: a send over the limit gets a 429 with
+    the wait until the next token; an admitted one takes *latency*."""
+
+    def __init__(self, time_, rate=40.0, burst=2.0, latency=0.03):
+        self.time = time_
+        self.rate, self.burst, self.latency = rate, burst, latency
+        self.tokens, self.last = burst, 0.0
+        self.lock = threading.Lock()
+        self.sends: list[float] = []
+        self.hints: list[tuple[float, float]] = []  # (issued at, gate opens)
+
+    def send(self, request):
+        with self.lock:
+            now = self.time.now
+            self.sends.append(now)
+            self.tokens = min(self.burst, self.tokens + (now - self.last) * self.rate)
+            self.last = now
+            admitted = self.tokens >= 1.0
+            if admitted:
+                self.tokens -= 1.0
+            else:
+                hint = (1.0 - self.tokens) / self.rate
+                self.hints.append((now, now + hint))
+        if not admitted:
+            raise ThrottledError("429", retry_after=hint)
+        self.time.sleep(self.latency)
+        return "ok", 10, 2
+
+
+@pytest.mark.parametrize("workers", [16, 32])
+def test_workers_share_one_gate(workers, tmp_path):
+    calls_each = 192 // workers
+    time_ = VirtualTime(workers)
+    backend = BucketBackend(time_)
+    log = tmp_path / "llm_log.ndjson"
+    gateway = Gateway(backend, retry=RetryPolicy(max_attempts=6, base_delay=0.05),
+                      sleep=time_.sleep, clock=time_.clock, run_log_path=log, seed=0)
+    results = []
+
+    def worker(w):
+        try:
+            for i in range(calls_each):
+                results.append(gateway.complete(req(f"u:{w}:{i}")))
+        finally:
+            time_.done()
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(workers)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+
+    total = workers * calls_each
+    assert len(results) == total
+    assert all(isinstance(r, CompletionResult) and r.attempts == 1 for r in results)
+    assert backend.hints  # the limit was hit
+    # A send may coincide with a 429 issued at the same instant (both were
+    # already past the gate), but none starts inside an earlier hint's window.
+    for sent in backend.sends:
+        assert all(sent >= opens for issued, opens in backend.hints if issued < sent)
+    # Near the server's pace (192 calls at 40/s take 4.8 s, burst aside):
+    # pacing must not stall many workers.
+    assert time_.now <= 1.1 * total / backend.rate
+    lines = [json.loads(l) for l in log.read_text().splitlines()]
+    assert sum(l["throttled"] for l in lines) == len(backend.hints)
+    assert all(l["outcome"] == "ok" and l["attempts"] == 1 for l in lines)
+
+
+def test_gate_slowdown_once_per_hint_window_and_capped():
+    now = [0.0]
+    gate = ThrottleGate(clock=lambda: now[0])
+    for _ in range(5):
+        gate.close(0.025)  # all within one hint window: one slow-down
+    assert gate._interval == ThrottleGate.PACE_SEED_S
+    for k in range(1, 12):
+        now[0] = k * 0.05  # each 429 in a window of its own
+        gate.close(0.025)
+    assert gate._interval == 0.025  # doubled up to the largest hint, no further
+    gate.admitted()
+    assert gate._interval == pytest.approx(0.025 * 31 / 32)
+
+
+def test_gate_releases_queued_callers_one_interval_apart():
+    time_ = VirtualTime(3)
+    gate = ThrottleGate(clock=time_.clock)
+    gate.close(0.01)
+    released = []
+
+    def caller():
+        try:
+            gate.wait(time_.sleep)
+            released.append(time_.now)
+        finally:
+            time_.done()
+
+    threads = [threading.Thread(target=caller) for _ in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    seed = ThrottleGate.PACE_SEED_S
+    assert sorted(released) == pytest.approx([0.01, 0.01 + seed, 0.01 + 2 * seed])
+
+
+class Always429:
+    def __init__(self, hint):
+        self.hint = hint
+        self.calls = 0
+
+    def send(self, request):
+        self.calls += 1
+        assert self.calls < 10_000, "the gateway retries without end"
+        raise ThrottledError("429", retry_after=self.hint)
+
+
+@pytest.mark.parametrize("hint", [0.5, 0.0, 100.0])
+def test_endless_hinted_throttle_fails_within_budget(hint, tmp_path):
+    time_ = VirtualTime(1)
+    backend = Always429(hint)
+    policy = RetryPolicy(max_attempts=3, base_delay=1.0)
+    log = tmp_path / "llm_log.ndjson"
+    gateway = Gateway(backend, retry=policy, sleep=time_.sleep, clock=time_.clock,
+                      run_log_path=log, seed=0)
+    failure = gateway.complete(req("t"))
+    assert isinstance(failure, GatewayFailure)
+    assert failure.category == "throttled"
+    assert failure.attempts == 3
+    # Hinted waits fill the budget (1 + 2 s of backoff schedule, each hint
+    # charged at least base_delay / 16), then three attempts are spent.
+    absorbed = int(policy.budget() / max(hint, policy.base_delay / 16))
+    assert backend.calls == absorbed + 3
+    (line,) = [json.loads(l) for l in log.read_text().splitlines()]
+    assert line["throttled"] == backend.calls
+    assert line["attempts"] == 3
+    assert line["waited_s"] == pytest.approx(time_.now)
+    # A hint longer than the budget closes the gate for the budget only.
+    assert time_.now <= policy.max_attempts * policy.budget()
+
+
+def test_zero_backoff_absorbs_no_zero_hint():
+    time_ = VirtualTime(1)
+    backend = Always429(0.0)
+    gateway = Gateway(backend, retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+                      sleep=time_.sleep, clock=time_.clock, seed=0)
+    failure = gateway.complete(req("t"))
+    assert failure.category == "throttled"
+    assert failure.attempts == backend.calls == 3
+
+
 # ---------------------------------------------------------------------------
 # ledger and cost
 # ---------------------------------------------------------------------------
@@ -281,13 +515,15 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         self.rfile.read(length)
-        status, payload = (
+        status, payload, *headers = (
             self.script.pop(0) if self.script else (200, _ok_payload("default"))
         )
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -310,6 +546,7 @@ def stub_server(monkeypatch):
     thread.start()
     yield server, f"http://127.0.0.1:{server.server_address[1]}/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_backend_success(stub_server):
@@ -331,6 +568,21 @@ def test_http_backend_throttle_then_success(stub_server):
     result = gateway.complete(req("live:2"))
     assert isinstance(result, CompletionResult)
     assert result.attempts == 2
+
+
+def test_http_backend_hinted_throttle_waits_at_gate(stub_server):
+    server, url = stub_server
+    _StubHandler.script = [
+        (429, {"error": "slow down"}, {"Retry-After": "1", "retry-after-ms": "20"}),
+        (200, _ok_payload("after the hint")),
+    ]
+    time_ = VirtualTime(1)
+    gateway = Gateway(HttpBackend(url), sleep=time_.sleep, clock=time_.clock)
+    result = gateway.complete(req("live:5"))
+    assert isinstance(result, CompletionResult)
+    assert result.text == "after the hint"
+    assert result.attempts == 1
+    assert time_.now == pytest.approx(0.020)
 
 
 def test_http_backend_content_filter(stub_server):
