@@ -5,7 +5,7 @@ common chat-completions JSON format, and a deterministic scripted mock
 used for tests and offline runs.  ``Gateway.complete`` owns the retry
 policy; stages never talk to a backend directly.
 
-All workers of one ``Gateway`` share one ``ThrottleGate``.  A 429 that
+All workers of one ``Gateway`` share one throttle gate.  A 429 that
 carries a server retry hint (``retry-after-ms``, else ``Retry-After``
 delta-seconds, RFC 9110 section 10.2.3) closes the gate until the hint
 runs out, and every send first waits at the gate.  The budget of a call
@@ -359,74 +359,6 @@ def cost_report(ledger: TokenLedger) -> CostBreakdown:
     )
 
 
-class ThrottleGate:
-    """When the callers of one ``Gateway`` may send; shared by all of them.
-
-    A hinted 429 closes the gate until the hint runs out.  Callers that
-    arrive while it is closed queue up and are released one pacing
-    interval apart, so they do not all hit the server at the same instant;
-    a caller that finds the gate open sends at once.  The interval starts
-    at ``PACE_SEED_S``; a hinted 429 doubles it at most once per hint
-    window, never past the largest hint seen, and every admitted send
-    shortens it by 1/32.
-    """
-
-    PACE_SEED_S = 0.001
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic):
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._opens = -math.inf  # clock time before which no send starts
-        self._next_slot = -math.inf  # earliest slot of the next queued caller
-        self._interval = 0.0
-        self._slowdown_ends = -math.inf
-        self._max_hint = 0.0
-
-    def _reserve(self) -> float:
-        now = self._clock()
-        if now >= self._opens:
-            return now
-        slot = max(self._opens, self._next_slot)
-        self._next_slot = slot + self._interval
-        return slot
-
-    def wait(self, sleep: Callable[[float], None]) -> float:
-        """Sleep until this caller may send; return the seconds slept.
-
-        A slot the gate has closed over since it was handed out is given up
-        for a new one.
-        """
-        waited = 0.0
-        with self._lock:
-            slot = self._reserve()
-        while True:
-            delay = slot - self._clock()
-            if delay > 0:
-                sleep(delay)
-                waited += delay
-                continue
-            with self._lock:
-                if self._opens <= slot:
-                    return waited
-                slot = self._reserve()
-
-    def close(self, hint: float) -> None:
-        """Keep every caller out for *hint* seconds from now."""
-        with self._lock:
-            now = self._clock()
-            self._opens = max(self._opens, now + hint)
-            self._max_hint = max(self._max_hint, hint)
-            if now >= self._slowdown_ends:
-                self._interval = min(self._max_hint,
-                                     max(2 * self._interval, self.PACE_SEED_S))
-                self._slowdown_ends = self._opens
-
-    def admitted(self) -> None:
-        """Record an admitted send: the pacing interval shrinks by 1/32."""
-        with self._lock:
-            self._interval -= self._interval / 32
-
-
 class Gateway:
     """Uniform completion access: one backend, one retry policy, one ledger.
 
@@ -461,10 +393,32 @@ class Gateway:
         self._sleep = sleep
         self._rng = random.Random(seed)
         self._log_lock = threading.Lock()
-        self._gate = ThrottleGate(clock)
+        self._clock = clock
+        self._gate_lock = threading.Lock()
+        self._opens = -math.inf  # clock time before which no send starts
         self._hint_budget = retry.budget()
         # Least charge of one absorbed 429, so tiny hints cannot retry forever.
         self._hint_floor = retry.base_delay / 16
+
+    def _wait_gate(self) -> float:
+        """Sleep until the shared gate is open; return the seconds slept.
+
+        The gate is read again after each sleep, since another caller's 429
+        may have closed it for longer meanwhile.
+        """
+        waited = 0.0
+        while True:
+            with self._gate_lock:
+                delay = self._opens - self._clock()
+            if delay <= 0:
+                return waited
+            self._sleep(delay)
+            waited += delay
+
+    def _close_gate(self, hint: float) -> None:
+        """Keep every caller out for *hint* seconds from now."""
+        with self._gate_lock:
+            self._opens = max(self._opens, self._clock() + hint)
 
     def _log(self, tag: str, outcome: str, attempts: int, input_tokens: int,
              output_tokens: int, throttled: int, waited_s: float) -> None:
@@ -499,7 +453,7 @@ class Gateway:
         waited = hinted = 0.0
         last_error: Optional[BackendError] = None
         while attempts < self.retry.max_attempts:
-            waited += self._gate.wait(self._sleep)
+            waited += self._wait_gate()
             attempts += 1
             try:
                 text, input_tokens, output_tokens = self.backend.send(request)
@@ -508,7 +462,7 @@ class Gateway:
                 if isinstance(exc, ThrottledError):
                     throttled += 1
                     if exc.retry_after is not None:
-                        self._gate.close(min(exc.retry_after, self._hint_budget))
+                        self._close_gate(min(exc.retry_after, self._hint_budget))
                         charge = max(exc.retry_after, self._hint_floor)
                         if 0 < charge <= self._hint_budget - hinted:
                             hinted += charge
@@ -525,7 +479,6 @@ class Gateway:
                 return GatewayFailure(
                     category=exc.category, attempts=attempts, detail=str(exc)
                 )
-            self._gate.admitted()
             self.ledger.add(input_tokens, output_tokens)
             self._log(request.request_tag, "ok", attempts, input_tokens, output_tokens,
                       throttled, waited)

@@ -1,6 +1,7 @@
 import heapq
 import http.server
 import json
+import math
 import sys
 import threading
 
@@ -15,7 +16,6 @@ from quallm.gateway import (
     MockBackend,
     RetryPolicy,
     ThrottledError,
-    ThrottleGate,
     TokenLedger,
     cost_report,
     parse_retry_after,
@@ -267,7 +267,8 @@ class BucketBackend:
             if admitted:
                 self.tokens -= 1.0
             else:
-                hint = (1.0 - self.tokens) / self.rate
+                # Whole milliseconds, rounded up, as ``retry-after-ms`` is sent.
+                hint = max(1, math.ceil((1.0 - self.tokens) / self.rate * 1000)) / 1000
                 self.hints.append((now, now + hint))
         if not admitted:
             raise ThrottledError("429", retry_after=hint)
@@ -313,47 +314,11 @@ def test_workers_share_one_gate(workers, tmp_path):
     for sent in backend.sends:
         assert all(sent >= opens for issued, opens in backend.hints if issued < sent)
     # Near the server's pace (192 calls at 40/s take 4.8 s, burst aside):
-    # pacing must not stall many workers.
+    # the shared gate must not stall many workers.
     assert time_.now <= 1.1 * total / backend.rate
     lines = [json.loads(l) for l in log.read_text().splitlines()]
     assert sum(l["throttled"] for l in lines) == len(backend.hints)
     assert all(l["outcome"] == "ok" and l["attempts"] == 1 for l in lines)
-
-
-def test_gate_slowdown_once_per_hint_window_and_capped():
-    now = [0.0]
-    gate = ThrottleGate(clock=lambda: now[0])
-    for _ in range(5):
-        gate.close(0.025)  # all within one hint window: one slow-down
-    assert gate._interval == ThrottleGate.PACE_SEED_S
-    for k in range(1, 12):
-        now[0] = k * 0.05  # each 429 in a window of its own
-        gate.close(0.025)
-    assert gate._interval == 0.025  # doubled up to the largest hint, no further
-    gate.admitted()
-    assert gate._interval == pytest.approx(0.025 * 31 / 32)
-
-
-def test_gate_releases_queued_callers_one_interval_apart():
-    time_ = VirtualTime(3)
-    gate = ThrottleGate(clock=time_.clock)
-    gate.close(0.01)
-    released = []
-
-    def caller():
-        try:
-            gate.wait(time_.sleep)
-            released.append(time_.now)
-        finally:
-            time_.done()
-
-    threads = [threading.Thread(target=caller) for _ in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    seed = ThrottleGate.PACE_SEED_S
-    assert sorted(released) == pytest.approx([0.01, 0.01 + seed, 0.01 + 2 * seed])
 
 
 class Always429:
@@ -399,6 +364,15 @@ def test_zero_backoff_absorbs_no_zero_hint():
     failure = gateway.complete(req("t"))
     assert failure.category == "throttled"
     assert failure.attempts == backend.calls == 3
+
+
+def test_shorter_hint_does_not_reopen_gate_early():
+    time_ = VirtualTime(1)
+    gateway = Gateway(MockBackend([]), sleep=time_.sleep, clock=time_.clock)
+    gateway._close_gate(1.0)
+    gateway._close_gate(0.1)
+    assert gateway._wait_gate() == pytest.approx(1.0)
+    assert gateway._wait_gate() == 0.0
 
 
 # ---------------------------------------------------------------------------
