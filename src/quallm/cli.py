@@ -268,8 +268,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     metrics_path = paths.run_dir / "metrics.json"
     metrics_mod.write_metrics(metrics_path, reports)
-    (paths.run_dir / "metrics.md").write_text(
-        metrics_mod.render_metrics_markdown(reports), encoding="utf-8"
+    ndjson.write_text(
+        paths.run_dir / "metrics.md", metrics_mod.render_metrics_markdown(reports)
     )
     print(metrics_path)
     return EXIT_OK

@@ -23,6 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+from . import ndjson
+
 SIGNIFICANCE_ALPHA = 0.05
 
 DIRECTION_FACTUALITY = "candidate-vs-reference"
@@ -345,14 +347,14 @@ def annotation_matrix(items: dict[str, dict[str, str]]) -> list[list[str]]:
 
 
 def write_metrics(path: Path, reports: Sequence[MetricReport]) -> Path:
-    path.write_text(
+    ndjson.write_text(
+        path,
         json.dumps(
             {"metrics": [r.to_dict() for r in reports]},
             sort_keys=True,
             indent=2,
         )
         + "\n",
-        encoding="utf-8",
     )
     return path
 

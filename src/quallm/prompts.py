@@ -2,11 +2,14 @@
 
 Templates are plain-text assets with ``{{slot}}`` placeholders; the
 defaults ship with the package and can be overridden per run by pointing
-``template_dir`` at a directory containing files of the same names.
+``template_dir`` at a directory containing files of the same names. A
+packaged default is read once per process; an override is read on every
+render, so an edited override takes effect at once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from datetime import datetime, timezone
@@ -40,6 +43,12 @@ def load_template(name: str, template_dir: Optional[Path] = None) -> str:
         override = template_dir / f"{name}.txt"
         if override.exists():
             return override.read_text(encoding="utf-8")
+    return _packaged_template(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _packaged_template(name: str) -> str:
+    # Package data cannot change under a run, so each default is read once.
     return (
         resources.files("quallm.templates").joinpath(f"{name}.txt").read_text("utf-8")
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from . import ndjson
 from .gateway import CostBreakdown
 from .models import SubThemeAssignment, SubThemeSet, ThemeAssignment, ThemeTaxonomy
 
@@ -305,7 +306,7 @@ def write_reports(
     sections.append(render_distribution_markdown(dist, taxonomy))
 
     dist_csv = run_dir / "distribution.csv"
-    dist_csv.write_text(render_distribution_csv(dist, taxonomy), encoding="utf-8")
+    ndjson.write_text(dist_csv, render_distribution_csv(dist, taxonomy))
     written.append(dist_csv)
 
     by_theme: dict[str, list[SubThemeAssignment]] = {}
@@ -319,7 +320,7 @@ def write_reports(
         sections.append("")
         sections.append(render_theme_table_markdown(table, quotes))
         csv_path = run_dir / f"theme_{subthemes.theme}.csv"
-        csv_path.write_text(render_theme_table_csv(table, quotes), encoding="utf-8")
+        ndjson.write_text(csv_path, render_theme_table_csv(table, quotes))
         written.append(csv_path)
     # A theme whose sub-theme set is gone must not keep its old table.
     for stale in run_dir.glob("theme_*.csv"):
@@ -327,13 +328,12 @@ def write_reports(
             stale.unlink()
 
     report_path = run_dir / "report.md"
-    report_path.write_text("\n".join(sections), encoding="utf-8")
+    ndjson.write_text(report_path, "\n".join(sections))
     written.insert(0, report_path)
     return written
 
 
 def write_cost_report(run_dir: Path, cost: CostBreakdown) -> Path:
     path = run_dir / "cost.md"
-    path.write_text("# Token usage and cost\n\n" + render_cost_table(cost),
-                    encoding="utf-8")
+    ndjson.write_text(path, "# Token usage and cost\n\n" + render_cost_table(cost))
     return path

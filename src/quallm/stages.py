@@ -151,23 +151,49 @@ def _best_window_overlap(quote_tokens: list[str], member_tokens: list[str]) -> f
     return best / qlen
 
 
-def verify_quote(concern: Concern, group: BatchGroup) -> str:
+class GroupText:
+    """A group's member texts, normalised once for all the quotes checked
+    against it; tokens and token counts are built on the first fuzzy scan."""
+
+    def __init__(self, group: BatchGroup):
+        self.norms = [_normalize(m.text) for m in group.members]
+        self._tokens: Optional[list[tuple[list[str], Counter]]] = None
+
+    def tokens(self) -> list[tuple[list[str], Counter]]:
+        """Each member's (tokens, token counts)."""
+        if self._tokens is None:
+            split = (norm.split() for norm in self.norms)
+            self._tokens = [(tokens, Counter(tokens)) for tokens in split]
+        return self._tokens
+
+
+def verify_quote(
+    concern: Concern, group: BatchGroup, text: Optional[GroupText] = None
+) -> str:
     """Check the quote against the source threads; never blocks the pipeline.
 
     Returns "verbatim" when the normalized quote appears as a substring
     of any member text, "fuzzy" when a same-length token window of some
-    member overlaps the quote's tokens at >= 0.8, else "absent".
+    member overlaps the quote's tokens at >= 0.8, else "absent". *text*
+    is the group's GroupText, when the caller checks several quotes.
     """
     quote_norm = _normalize(concern.quote)
     if not quote_norm:
         return QUOTE_ABSENT
-    member_norms = [_normalize(m.text) for m in group.members]
-    for text in member_norms:
-        if quote_norm in text:
-            return QUOTE_VERBATIM
+    if text is None:
+        text = GroupText(group)
+    if any(quote_norm in norm for norm in text.norms):
+        return QUOTE_VERBATIM
     quote_tokens = quote_norm.split()
-    for text in member_norms:
-        if _best_window_overlap(quote_tokens, text.split()) >= FUZZY_OVERLAP_THRESHOLD:
+    need = Counter(quote_tokens)
+    qlen = len(quote_tokens)
+    for tokens, have in text.tokens():
+        # No window overlaps the quote by more than the whole member does,
+        # and the same division as below keeps this skip exact.
+        bound = sum(min(n, have[token]) for token, n in need.items())
+        if bound / qlen < FUZZY_OVERLAP_THRESHOLD:
+            continue
+        if _best_window_overlap(quote_tokens, tokens) >= FUZZY_OVERLAP_THRESHOLD:
             return QUOTE_FUZZY
     return QUOTE_ABSENT
 
@@ -190,6 +216,7 @@ def _attach_quote_checks(
     checked: list[Concern] = []
     warnings = 0
     lo, hi = DESCRIPTION_WORDS
+    text = GroupText(group) if concerns else None
     for concern in concerns:
         words = len(concern.description.split())
         if not lo <= words <= hi:
@@ -206,7 +233,7 @@ def _attach_quote_checks(
                 title=concern.title,
                 description=concern.description,
                 quote=concern.quote,
-                quote_check=verify_quote(concern, group),
+                quote_check=verify_quote(concern, group, text),
             )
         )
     return checked, warnings

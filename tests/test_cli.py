@@ -134,6 +134,40 @@ def test_failed_meta_write_keeps_old_meta(fixture, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("report.md", ["report"]),
+        ("metrics.json", ["eval", "--metrics", "aggregation", "--min-topic-size", "1"]),
+    ],
+)
+def test_failed_report_write_keeps_old_file(fixture, monkeypatch, name, argv):
+    assert run_ingest(fixture) == 0
+    argv = [*argv, "--config", str(fixture.config_path)]
+    assert main(["run-all", "--config", str(fixture.config_path)]) == 0
+    assert main(argv) == 0
+    target = fixture.run_dir / name
+    old = target.read_bytes() + b"from an earlier run\n"
+    target.write_bytes(old)
+
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst) == target:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        main(argv)
+    assert target.read_bytes() == old
+    assert sorted(p.name for p in fixture.run_dir.glob("*.tmp")) == []
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(argv) == 0
+    assert target.read_bytes() != old
+
+
 def test_stage_by_stage_cli_matches_run_all(fixture, tmp_path):
     assert run_ingest(fixture) == 0
     for stage in ("generate", "classify", "aggregate", "prevalence"):

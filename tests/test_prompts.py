@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from quallm import prompts
 from quallm.prompts import (
     PromptTooLargeError,
     fill_slots,
@@ -102,3 +105,32 @@ def test_template_dir_override(tmp_path, study):
     (tmp_path / "generation.txt").write_text("custom {{topic}}|{{source}}|{{threads}}")
     prompt = render_generation_prompt(make_group(), study, template_dir=tmp_path)
     assert prompt.startswith("custom concerns about automated dispatch")
+    # The override wins over the packaged text even once that is cached,
+    # and an edited override takes effect on the next render.
+    packaged = render_generation_prompt(make_group(), study)
+    assert not packaged.startswith("custom")
+    prompt = render_generation_prompt(make_group(), study, template_dir=tmp_path)
+    assert prompt.startswith("custom concerns about automated dispatch")
+    (tmp_path / "generation.txt").write_text("edited {{threads}}")
+    prompt = render_generation_prompt(make_group(), study, template_dir=tmp_path)
+    assert prompt.startswith("edited {")
+
+
+def test_packaged_template_read_once_per_name(monkeypatch, study):
+    files = prompts.resources.files
+    opened = Counter()
+
+    def counting_files(package):
+        opened[package] += 1
+        return files(package)
+
+    prompts._packaged_template.cache_clear()
+    monkeypatch.setattr(prompts.resources, "files", counting_files)
+    subthemes = make_subthemes("B", n=3)
+    first = render_prevalence_prompt(subthemes, [make_concern()])
+    for _ in range(50):
+        render_generation_prompt(make_group(), study)
+        render_classification_prompt([make_concern()], study)
+        render_aggregation_prompt(study.taxonomy.categories[0], [make_concern()], study)
+        assert render_prevalence_prompt(subthemes, [make_concern()]) == first
+    assert opened == {"quallm.templates": 4}

@@ -144,6 +144,124 @@ def test_sliding_window_overlap_matches_brute_force_oracle():
         assert fast == pytest.approx(slow)
 
 
+def _reference_verify_quote(concern, group):
+    """The per-concern quote check as it was before members were normalised
+    once per group: the oracle for verify_quote and _attach_quote_checks."""
+    from quallm.stages import _best_window_overlap, _normalize
+
+    quote_norm = _normalize(concern.quote)
+    if not quote_norm:
+        return "absent"
+    member_norms = [_normalize(m.text) for m in group.members]
+    for text in member_norms:
+        if quote_norm in text:
+            return "verbatim"
+    quote_tokens = quote_norm.split()
+    for text in member_norms:
+        if _best_window_overlap(quote_tokens, text.split()) >= 0.8:
+            return "fuzzy"
+    return "absent"
+
+
+def _random_quote_cases(rng):
+    """Yield (group, quotes): members with repeats, punctuation and empty
+    texts, quotes of 1-20 tokens cut from them with some tokens swapped."""
+    vocabulary = ["fare", "pay", "tip", "app", "rate", "surge", "night", "zone"]
+    punctuation = ["", "", "", ",", ".", "!", "'s", " --"]
+    for case in range(400):
+        members = []
+        for m in range(rng.randint(1, 5)):
+            kind = rng.random()
+            if kind < 0.08:
+                text = ""
+            elif kind < 0.16:
+                text = rng.choice(["...", "!!! ?", " -- ", "'"])
+            else:
+                words = [rng.choice(vocabulary) for _ in range(rng.randint(1, 40))]
+                text = " ".join(
+                    (w.upper() if rng.random() < 0.1 else w) + rng.choice(punctuation)
+                    for w in words
+                )
+            members.append(make_doc(f"s{m}", text))
+        group = make_group(f"feed{case:012d}", members)
+        quotes = []
+        for _ in range(rng.randint(1, 6)):
+            source = rng.choice(members).text.split() or ["fare"]
+            qlen = rng.randint(1, 20)
+            start = rng.randint(0, max(0, len(source) - 1))
+            tokens = (source[start:] + source)[:qlen]
+            tokens += [rng.choice(vocabulary) for _ in range(qlen - len(tokens))]
+            # Swapping a fifth of the tokens lands windows at exactly 0.8;
+            # one more swap lands them just under.
+            swaps = qlen // 5 + rng.choice([0, 0, 1, -1])
+            for i in rng.sample(range(qlen), max(0, min(qlen, swaps))):
+                tokens[i] = rng.choice(["xray", "yank", "zulu", "fare", "pay"])
+            quote = " ".join(tokens)
+            if rng.random() < 0.03:
+                quote = "?!"
+            quotes.append(quote)
+        yield group, quotes
+
+
+def test_quote_checks_once_per_group_match_per_concern_oracle():
+    from quallm.stages import _attach_quote_checks, _normalize
+
+    rng = random.Random(11)
+    outcomes = Counter()
+    borderline = Counter()
+    for group, quotes in _random_quote_cases(rng):
+        concerns = [
+            make_concern(cid=f"{group.group_key}-{i:04d}", quote=q,
+                         group_key=group.group_key)
+            for i, q in enumerate(quotes, start=1)
+        ]
+        expected = [_reference_verify_quote(c, group) for c in concerns]
+        assert [verify_quote(c, group) for c in concerns] == expected
+        checked, _ = _attach_quote_checks(concerns, group)
+        assert [c.quote_check for c in checked] == expected
+        outcomes.update(expected)
+        for concern, outcome in zip(concerns, expected):
+            if outcome == "verbatim":
+                continue
+            tokens = _normalize(concern.quote).split()
+            best = max(
+                (_brute_force_best_overlap(tokens, _normalize(m.text).split())
+                 for m in group.members),
+                default=0.0,
+            )
+            if best == 0.8:
+                borderline["at"] += 1
+            elif 0.7 <= best < 0.8:
+                borderline["under"] += 1
+    # The seeded cases reach every outcome and both sides of the threshold.
+    assert min(outcomes[k] for k in ("verbatim", "fuzzy", "absent")) >= 20
+    assert borderline["at"] >= 10 and borderline["under"] >= 10
+
+
+def test_generate_for_group_quote_check_equals_direct_verify_quote(study):
+    members = [
+        make_doc("s1", "The fare breakdown never adds up for longer trips at night."),
+        make_doc("s2", "!!!"),
+        make_doc("s3", "Surge pay pay pay vanished when the zone rate changed."),
+    ]
+    group = make_group("ab12000000000009", members)
+    items = [
+        {"title": "t1", "description": "d", "quote": "fare breakdown never adds up"},
+        {"title": "t2", "description": "d", "quote": "surge pay vanished when the zone"},
+        {"title": "t3", "description": "d", "quote": "pay pay pay"},
+        {"title": "t4", "description": "d", "quote": "quantum lattice chromodynamics"},
+        {"title": "t5", "description": "d", "quote": "..."},
+    ]
+    gateway = scripted_gateway(
+        [{"request_tag": "gen:ab12000000000009", "response_text": json.dumps(items)}]
+    )
+    outcome = generate_for_group(gateway, group, study)
+    assert outcome.ok
+    direct = [verify_quote(c, group) for c in outcome.concerns]
+    assert [c.quote_check for c in outcome.concerns] == direct
+    assert direct == ["verbatim", "fuzzy", "verbatim", "absent", "absent"]
+
+
 # ---------------------------------------------------------------------------
 # serial->letter parsing and parity
 # ---------------------------------------------------------------------------
