@@ -236,8 +236,15 @@ def cmd_cost(args: argparse.Namespace) -> int:
     paths = RunPaths(config.run_dir)
     if args.ledger:
         data = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
+        try:
+            tokens = int(data["total_input_tokens"]), int(data["total_output_tokens"])
+        except (KeyError, TypeError) as exc:
+            raise CliError(
+                f"ledger {args.ledger} must be an object with total_input_tokens"
+                " and total_output_tokens", EXIT_INPUT,
+            ) from exc
         ledger = TokenLedger(config.input_rate, config.output_rate)
-        ledger.add(int(data["total_input_tokens"]), int(data["total_output_tokens"]))
+        ledger.add(*tokens)
     else:
         ledger = _ledger_from_log(paths, config)
     breakdown = cost_report(ledger)

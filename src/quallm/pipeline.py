@@ -414,10 +414,7 @@ class PipelineRunner:
                     return UnitResult(
                         key=group.group_key,
                         status="ok",
-                        payload={
-                            "concerns": [c.to_dict() for c in outcome.concerns],
-                            "description_warnings": outcome.description_warnings,
-                        },
+                        payload={"concerns": [c.to_dict() for c in outcome.concerns]},
                     )
                 assert outcome.failure is not None
                 return _failure_unit(group.group_key, outcome.failure, {})
@@ -494,11 +491,7 @@ class PipelineRunner:
                         return UnitResult(
                             key=cat.code,
                             status="ok",
-                            payload={
-                                "subthemes": outcome.subthemes.to_dict(),
-                                "map_calls": outcome.plan.map_calls if outcome.plan else 1,
-                                "merge_calls": outcome.plan.merge_calls if outcome.plan else 0,
-                            },
+                            payload={"subthemes": outcome.subthemes.to_dict()},
                         )
                     assert outcome.failure is not None
                     return _failure_unit(cat.code, outcome.failure, {})

@@ -109,7 +109,6 @@ def render_generation_prompt(
     group: BatchGroup,
     config: StudyConfig,
     template_dir: Optional[Path] = None,
-    enforce_budget: bool = True,
 ) -> str:
     """Build the concern-generation prompt for one batch group."""
     template = load_template("generation", template_dir)
@@ -121,7 +120,7 @@ def render_generation_prompt(
             "threads": serialize_group(group),
         },
     )
-    if enforce_budget and len(prompt) > config.max_prompt_chars:
+    if len(prompt) > config.max_prompt_chars:
         raise PromptTooLargeError(group.group_key, len(prompt), config.max_prompt_chars)
     return prompt
 

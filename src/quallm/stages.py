@@ -4,10 +4,12 @@ Each stage has a strict output contract. Generation must return a JSON
 array of concern objects or the literal "No concerns"; classification
 and prevalence must return a serial->letter map covering exactly the
 chunk that was sent (the parity check); aggregation must return exactly
-n sub-themes whose ranks form a permutation of 1..n. Parity violations
-are usually formatting flukes, so they are retried a bounded number of
-times before the unit is marked failed. Gateway-level failures
-(throttling past the cap, content filtering) are never retried here.
+n sub-themes whose ranks form a permutation of 1..n. Every model call of
+every stage goes through one helper, ``_ask``: a reply that breaks the
+stage's contract is usually a formatting fluke, so the same prompt is
+re-asked up to ``parity_retries`` times before the unit is marked
+failed. Gateway-level failures (throttling past the cap, content
+filtering) are never retried here.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from .gateway import Gateway, GatewayFailure, MALFORMED_OUTPUT, OTHER
 from .ingest import derive_group_key
@@ -48,10 +50,6 @@ QUOTE_FUZZY = "fuzzy"
 QUOTE_ABSENT = "absent"
 FUZZY_OVERLAP_THRESHOLD = 0.8
 
-# Advisory description length from the generation contract; violations
-# are warnings, never failures.
-DESCRIPTION_WORDS = (10, 20)
-
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9]*\s*\n(.*)\n```\s*$", re.DOTALL)
 _PAIR_RE = re.compile(r"(\d+)\s*[:=]\s*[\"']?([A-Za-z])[\"']?")
 
@@ -64,6 +62,35 @@ def strip_code_fences(text: str) -> str:
     stripped = text.strip()
     match = _FENCE_RE.match(stripped)
     return match.group(1).strip() if match else stripped
+
+
+T = TypeVar("T")
+
+
+def _ask(
+    gateway: Gateway, prompt: str, tag: str, parse: Callable[[str], T], retries: int
+) -> Union[T, GatewayFailure]:
+    """Send *prompt* and return ``parse(reply.text)``.
+
+    The same prompt is re-asked while *parse* raises MalformedStageOutput,
+    up to *retries* times; a gateway failure is returned as soon as it
+    happens.
+    """
+    last_detail = ""
+    for attempt in range(retries + 1):
+        reply = gateway.complete(gateway.request(prompt, tag))
+        if isinstance(reply, GatewayFailure):
+            return reply
+        try:
+            return parse(reply.text)
+        except MalformedStageOutput as exc:
+            last_detail = str(exc)
+            logger.debug("%s attempt %d broke the contract: %s", tag, attempt + 1, exc)
+    return GatewayFailure(
+        category=MALFORMED_OUTPUT,
+        attempts=retries + 1,
+        detail=f"contract violated after {retries} retries: {last_detail}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,40 +230,26 @@ class GenerationOutcome:
     group_key: str
     concerns: list[Concern] = field(default_factory=list)
     failure: Optional[GatewayFailure] = None
-    description_warnings: int = 0
 
     @property
     def ok(self) -> bool:
         return self.failure is None
 
 
-def _attach_quote_checks(
-    concerns: list[Concern], group: BatchGroup
-) -> tuple[list[Concern], int]:
-    checked: list[Concern] = []
-    warnings = 0
-    lo, hi = DESCRIPTION_WORDS
+def _attach_quote_checks(concerns: list[Concern], group: BatchGroup) -> list[Concern]:
     text = GroupText(group) if concerns else None
-    for concern in concerns:
-        words = len(concern.description.split())
-        if not lo <= words <= hi:
-            warnings += 1
-            logger.debug(
-                "concern %s: description is %d words (advisory range %d-%d)",
-                concern.concern_id, words, lo, hi,
-            )
-        checked.append(
-            Concern(
-                concern_id=concern.concern_id,
-                group_key=concern.group_key,
-                earliest_timestamp=concern.earliest_timestamp,
-                title=concern.title,
-                description=concern.description,
-                quote=concern.quote,
-                quote_check=verify_quote(concern, group, text),
-            )
+    return [
+        Concern(
+            concern_id=concern.concern_id,
+            group_key=concern.group_key,
+            earliest_timestamp=concern.earliest_timestamp,
+            title=concern.title,
+            description=concern.description,
+            quote=concern.quote,
+            quote_check=verify_quote(concern, group, text),
         )
-    return checked, warnings
+        for concern in concerns
+    ]
 
 
 def generate_for_group(
@@ -271,24 +284,16 @@ def generate_for_group(
                 outcome.failure = sub.failure
                 return outcome
             outcome.concerns.extend(sub.concerns)
-            outcome.description_warnings += sub.description_warnings
         return outcome
 
-    reply = gateway.complete(gateway.request(prompt, f"gen:{group.group_key}"))
-    if isinstance(reply, GatewayFailure):
-        return GenerationOutcome(group_key=group.group_key, failure=reply)
-    try:
-        concerns = parse_generation_output(reply.text, group)
-    except MalformedStageOutput as exc:
-        return GenerationOutcome(
-            group_key=group.group_key,
-            failure=GatewayFailure(
-                category=MALFORMED_OUTPUT, attempts=reply.attempts, detail=str(exc)
-            ),
-        )
-    checked, warnings = _attach_quote_checks(concerns, group)
+    concerns = _ask(
+        gateway, prompt, f"gen:{group.group_key}",
+        lambda text: parse_generation_output(text, group), config.parity_retries,
+    )
+    if isinstance(concerns, GatewayFailure):
+        return GenerationOutcome(group_key=group.group_key, failure=concerns)
     return GenerationOutcome(
-        group_key=group.group_key, concerns=checked, description_warnings=warnings
+        group_key=group.group_key, concerns=_attach_quote_checks(concerns, group)
     )
 
 
@@ -349,41 +354,28 @@ def _run_letter_chunk(
     catch_all: str,
     retries: int,
 ) -> ChunkOutcome:
-    last_detail = ""
-    for attempt in range(retries + 1):
-        reply = gateway.complete(gateway.request(prompt, tag))
-        if isinstance(reply, GatewayFailure):
-            return ChunkOutcome(concern_ids=concern_ids, failure=reply)
-        try:
-            mapping = parse_serial_letter_map(reply.text)
-            check_parity(mapping, len(concern_ids))
-        except MalformedStageOutput as exc:
-            last_detail = str(exc)
-            logger.debug("chunk %s attempt %d parity violation: %s",
-                         tag, attempt + 1, exc)
-            continue
-        letters: list[str] = []
-        remapped = 0
-        valid = set(valid_codes)
-        for serial in range(1, len(concern_ids) + 1):
-            letter = mapping[serial]
-            if letter not in valid:
-                logger.warning(
-                    "chunk %s: letter %r outside the category set, remapped to %s",
-                    tag, letter, catch_all,
-                )
-                letter = catch_all
-                remapped += 1
-            letters.append(letter)
-        return ChunkOutcome(concern_ids=concern_ids, letters=letters, remapped=remapped)
-    return ChunkOutcome(
-        concern_ids=concern_ids,
-        failure=GatewayFailure(
-            category=MALFORMED_OUTPUT,
-            attempts=retries + 1,
-            detail=f"parity violation persisted after {retries} retries: {last_detail}",
-        ),
-    )
+    def parse(text: str) -> dict[int, str]:
+        mapping = parse_serial_letter_map(text)
+        check_parity(mapping, len(concern_ids))
+        return mapping
+
+    mapping = _ask(gateway, prompt, tag, parse, retries)
+    if isinstance(mapping, GatewayFailure):
+        return ChunkOutcome(concern_ids=concern_ids, failure=mapping)
+    letters: list[str] = []
+    remapped = 0
+    valid = set(valid_codes)
+    for serial in range(1, len(concern_ids) + 1):
+        letter = mapping[serial]
+        if letter not in valid:
+            logger.warning(
+                "chunk %s: letter %r outside the category set, remapped to %s",
+                tag, letter, catch_all,
+            )
+            letter = catch_all
+            remapped += 1
+        letters.append(letter)
+    return ChunkOutcome(concern_ids=concern_ids, letters=letters, remapped=remapped)
 
 
 def chunk_slices(total: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -493,36 +485,10 @@ class AggregationOutcome:
     theme: str
     subthemes: Optional[SubThemeSet] = None
     failure: Optional[GatewayFailure] = None
-    plan: Optional[AggregationPlan] = None
 
     @property
     def ok(self) -> bool:
         return self.failure is None
-
-
-def _aggregation_call(
-    gateway: Gateway,
-    prompt: str,
-    tag: str,
-    theme: str,
-    n: int,
-    retries: int,
-) -> tuple[Optional[SubThemeSet], Optional[GatewayFailure]]:
-    last_detail = ""
-    for _ in range(retries + 1):
-        reply = gateway.complete(gateway.request(prompt, tag))
-        if isinstance(reply, GatewayFailure):
-            return None, reply
-        try:
-            return parse_subtheme_output(reply.text, theme, n), None
-        except MalformedStageOutput as exc:
-            last_detail = str(exc)
-            continue
-    return None, GatewayFailure(
-        category=MALFORMED_OUTPUT,
-        attempts=retries + 1,
-        detail=f"sub-theme contract violated after {retries} retries: {last_detail}",
-    )
 
 
 def run_aggregation(
@@ -541,17 +507,24 @@ def run_aggregation(
     if not theme_concerns:
         raise ValueError(f"theme {category.code}: aggregation needs >= 1 concern")
     theme = category.code
-    n = config.subtheme_count
-    plan = plan_aggregation(len(theme_concerns), config.aggregation_chunk_size)
 
+    def ask(prompt: str, tag: str) -> Union[SubThemeSet, GatewayFailure]:
+        return _ask(
+            gateway, prompt, tag,
+            lambda text: parse_subtheme_output(text, theme, config.subtheme_count),
+            config.parity_retries,
+        )
+
+    def outcome(result: Union[SubThemeSet, GatewayFailure]) -> AggregationOutcome:
+        if isinstance(result, GatewayFailure):
+            return AggregationOutcome(theme=theme, failure=result)
+        return AggregationOutcome(theme=theme, subthemes=result)
+
+    plan = plan_aggregation(len(theme_concerns), config.aggregation_chunk_size)
     if plan.merge_calls == 0:
         prompt = render_aggregation_prompt(category, theme_concerns, config,
                                            template_dir)
-        subthemes, failure = _aggregation_call(
-            gateway, prompt, f"agg:{theme}", theme, n, config.parity_retries
-        )
-        return AggregationOutcome(theme=theme, subthemes=subthemes, failure=failure,
-                                  plan=plan)
+        return outcome(ask(prompt, f"agg:{theme}"))
 
     candidates: list[SubThemeSet] = []
     for j, (start, end) in enumerate(
@@ -560,20 +533,13 @@ def run_aggregation(
         prompt = render_aggregation_prompt(
             category, theme_concerns[start:end], config, template_dir
         )
-        subthemes, failure = _aggregation_call(
-            gateway, prompt, f"agg:{theme}:map:{j}", theme, n, config.parity_retries
-        )
-        if failure is not None:
-            return AggregationOutcome(theme=theme, failure=failure, plan=plan)
-        assert subthemes is not None
-        candidates.append(subthemes)
+        result = ask(prompt, f"agg:{theme}:map:{j}")
+        if isinstance(result, GatewayFailure):
+            return outcome(result)
+        candidates.append(result)
 
     merge_prompt = render_merge_prompt(category, candidates, config, template_dir)
-    subthemes, failure = _aggregation_call(
-        gateway, merge_prompt, f"agg:{theme}:merge", theme, n, config.parity_retries
-    )
-    return AggregationOutcome(theme=theme, subthemes=subthemes, failure=failure,
-                              plan=plan)
+    return outcome(ask(merge_prompt, f"agg:{theme}:merge"))
 
 
 # ---------------------------------------------------------------------------

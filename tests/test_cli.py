@@ -237,6 +237,20 @@ def test_cost_command_reference_ledger(fixture, tmp_path, capsys):
     assert (fixture.run_dir / "cost.md").exists()
 
 
+@pytest.mark.parametrize(
+    "ledger", [{"total_input_tokens": 5}, [1, 2]], ids=["missing-key", "not-object"]
+)
+def test_cost_command_malformed_ledger_exits_2(fixture, tmp_path, capsys, ledger):
+    ledger_file = tmp_path / "ledger.json"
+    ledger_file.write_text(json.dumps(ledger))
+    fixture.run_dir.mkdir(parents=True, exist_ok=True)
+    rc = main(["cost", "--config", str(fixture.config_path),
+               "--ledger", str(ledger_file)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ledger ")
+    assert not (fixture.run_dir / "cost.md").exists()
+
+
 def test_cost_command_from_run_log(fixture, capsys):
     run_ingest(fixture)
     main(["run-all", "--config", str(fixture.config_path)])

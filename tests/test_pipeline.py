@@ -148,6 +148,35 @@ def test_finished_stage_reruns_with_zero_backend_calls(fixture, tmp_path):
     assert calls_after_first > 0
 
 
+def test_checkpoint_with_dropped_payload_fields_resumes_unchanged(fixture, tmp_path):
+    # Checkpoints from earlier versions carry description_warnings
+    # (generate) and map_calls/merge_calls (aggregate); nothing reads them.
+    run_dir = tmp_path / "run"
+    ingest_into(fixture, run_dir)
+    runner, paths, _ = build_runner(fixture, run_dir=run_dir)
+    runner.run_all()
+    summaries = [paths.summary(stage) for stage in ("generate", "aggregate")]
+    before = stage_outputs(paths)
+    before_summaries = [path.read_bytes() for path in summaries]
+
+    old_fields = {"generate": {"description_warnings": 0},
+                  "aggregate": {"map_calls": 1, "merge_calls": 0}}
+    for stage, fields in old_fields.items():
+        checkpoint = paths.checkpoint(stage)
+        records = list(ndjson.iter_records(checkpoint))
+        assert records
+        for record in records:
+            record["payload"].update(fields)
+        ndjson.write_records(checkpoint, records)
+
+    runner2, paths2, backend2 = build_runner(fixture, run_dir=run_dir)
+    reports = runner2.run_all()
+    assert backend2.calls == 0
+    assert all(r.executed == 0 for r in reports)
+    assert stage_outputs(paths2) == before
+    assert [path.read_bytes() for path in summaries] == before_summaries
+
+
 def test_partial_checkpoint_resumes_remaining_units(fixture, tmp_path):
     run_dir = tmp_path / "run"
     ingest_into(fixture, run_dir)

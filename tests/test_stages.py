@@ -4,8 +4,10 @@ from collections import Counter
 
 import pytest
 
+from quallm import ndjson
 from quallm.models import SubThemeSet
 from quallm.stages import (
+    AggregationPlan,
     MalformedStageOutput,
     check_parity,
     generate_for_group,
@@ -217,7 +219,7 @@ def test_quote_checks_once_per_group_match_per_concern_oracle():
         ]
         expected = [_reference_verify_quote(c, group) for c in concerns]
         assert [verify_quote(c, group) for c in concerns] == expected
-        checked, _ = _attach_quote_checks(concerns, group)
+        checked = _attach_quote_checks(concerns, group)
         assert [c.quote_check for c in checked] == expected
         outcomes.update(expected)
         for concern, outcome in zip(concerns, expected):
@@ -333,6 +335,20 @@ def test_classification_parity_retry_can_recover(study, tmp_path):
     ]
     run = run_letter_stage(tmp_path, study, entries, _concerns(3))
     assert _codes(run) == ["A", "B", "C"]
+    assert run.gateway.backend.calls == 2
+
+
+def test_classification_reask_meeting_gateway_failure_keeps_its_category(
+    study, tmp_path
+):
+    entries = [
+        {"request_tag": "cls:1", "response_text": '{"1": "A"}'},
+        {"request_tag": "cls:1", "failure": "content_filtered"},
+    ]
+    run = run_letter_stage(tmp_path, study, entries, _concerns(3))
+    assert run.assignments == []
+    [chunk] = run.failed
+    assert chunk["category"] == "content_filtered"
     assert run.gateway.backend.calls == 2
 
 
@@ -472,6 +488,20 @@ def test_aggregation_persistent_violation_fails_theme(study):
     assert outcome.failure.category == "malformed_output"
 
 
+def test_aggregation_reask_meeting_gateway_failure_keeps_its_category(study):
+    entries = [
+        {"request_tag": "agg:A", "response_text": _subtheme_json(n=4)},
+        {"request_tag": "agg:A", "failure": "content_filtered"},
+    ]
+    gateway = scripted_gateway(entries)
+    outcome = run_aggregation(
+        gateway, study.taxonomy.categories[0], _concerns(3), study
+    )
+    assert not outcome.ok
+    assert outcome.failure.category == "content_filtered"
+    assert gateway.backend.calls == 2
+
+
 def test_aggregation_map_reduce_schedule_executes(study):
     # budget 4, 10 concerns -> 3 map calls + 1 merge
     entries = [
@@ -485,8 +515,7 @@ def test_aggregation_map_reduce_schedule_executes(study):
         gateway, study.taxonomy.categories[0], _concerns(10), study
     )
     assert outcome.ok
-    assert outcome.plan.map_calls == 3
-    assert outcome.plan.merge_calls == 1
+    assert plan_aggregation(10, 4) == AggregationPlan(map_calls=3, merge_calls=1)
     assert outcome.subthemes.by_rank()[0].title == "final 1"
     assert gateway.backend.calls == 4
 
@@ -593,6 +622,39 @@ def test_generate_for_group_malformed_marks_failed(study):
     outcome = generate_for_group(gateway, group, study)
     assert not outcome.ok
     assert outcome.failure.category == "malformed_output"
+    # The mock replays its last entry, so every re-ask gets the same noise.
+    assert gateway.backend.calls == study.parity_retries + 1
+    assert outcome.failure.attempts == study.parity_retries + 1
+
+
+def test_generate_for_group_reasks_malformed_reply(study, tmp_path):
+    body = "The fare breakdown never adds up for longer trips."
+    group = make_group("ab12000000000004", [make_doc("s1", body)])
+    good = json.dumps(
+        [{"title": "Opaque fares", "description": "d",
+          "quote": "fare breakdown never adds up"}]
+    )
+    log = tmp_path / "llm_log.ndjson"
+    gateway = scripted_gateway(
+        [
+            {"request_tag": "gen:ab12000000000004", "response_text": "sure! here",
+             "input_tokens": 120, "output_tokens": 4},
+            {"request_tag": "gen:ab12000000000004", "response_text": good,
+             "input_tokens": 120, "output_tokens": 30},
+        ],
+        run_log_path=log,
+    )
+    outcome = generate_for_group(gateway, group, study)
+    assert outcome.ok
+    [concern] = outcome.concerns
+    assert concern.quote_check == "verbatim"
+    assert gateway.backend.calls == 2
+    # Both replies were billed: the ledger and the run log count each one.
+    assert gateway.ledger.total_input_tokens == 240
+    assert gateway.ledger.total_output_tokens == 34
+    lines = list(ndjson.iter_records(log))
+    assert len(lines) == 2
+    assert sum(r["input_tokens"] + r["output_tokens"] for r in lines) == 274
 
 
 def test_generate_for_group_gateway_failure_propagates(study):
