@@ -59,6 +59,9 @@ class CliError(Exception):
 
 
 def _build_gateway(config: RunConfig, paths: RunPaths) -> Gateway:
+    retry = RetryPolicy(
+        max_attempts=config.max_attempts, base_delay=config.backoff_base
+    )
     if config.backend == BACKEND_LIVE:
         backend = HttpBackend(endpoint=config.endpoint)
     else:
@@ -74,9 +77,7 @@ def _build_gateway(config: RunConfig, paths: RunPaths) -> Gateway:
             backend = MockBackend([], default_text=config.mock_default_text)
     return Gateway(
         backend,
-        retry=RetryPolicy(
-            max_attempts=config.max_attempts, base_delay=config.backoff_base
-        ),
+        retry=retry,
         ledger=TokenLedger(config.input_rate, config.output_rate),
         run_log_path=paths.llm_log,
         seed=config.seed,

@@ -297,6 +297,13 @@ class RetryPolicy:
     multiplier: float = 2.0
     jitter: float = 0.25
 
+    def __post_init__(self) -> None:
+        # Named by their config keys, which is where a bad value comes from.
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.base_delay < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {self.base_delay}")
+
     def delay(self, attempt: int, rng: random.Random) -> float:
         """Delay before retry number *attempt* (1-based); nondecreasing."""
         base = self.base_delay * self.multiplier ** (attempt - 1)

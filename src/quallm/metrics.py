@@ -297,6 +297,8 @@ def load_judgments(path: Path, direction: str) -> MatchJudgmentSet:
         ):
             raise ValueError(f"{path}: expected header with item_id,verdict")
         for row in reader:
+            if row["verdict"] is None:
+                raise ValueError(f"{path}: line {reader.line_num} has no verdict")
             judgments.append((row["item_id"], row["verdict"].strip().lower()))
     return MatchJudgmentSet(direction=direction, judgments=tuple(judgments))
 
@@ -313,6 +315,8 @@ def load_labels(path: Path) -> dict[str, dict[str, str]]:
         if reader.fieldnames is None or not expected <= set(reader.fieldnames):
             raise ValueError(f"{path}: expected header with item_id,annotator_id,label")
         for row in reader:
+            if row["label"] is None:
+                raise ValueError(f"{path}: line {reader.line_num} has no label")
             items.setdefault(row["item_id"], {})[row["annotator_id"]] = row["label"]
     return items
 

@@ -336,6 +336,8 @@ class StudyConfig:
             raise ValueError("subtheme_count must be >= 1")
         if self.group_size < 1:
             raise ValueError("group_size must be >= 1")
+        if self.parity_retries < 0:
+            raise ValueError("parity_retries must be >= 0")
         for name in ("classification_chunk_size", "aggregation_chunk_size",
                      "prevalence_chunk_size"):
             if getattr(self, name) < 1:

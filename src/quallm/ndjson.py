@@ -47,13 +47,18 @@ def write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def append_record(path: Path, record: Any) -> None:
-    """Append one record and flush it so a crash loses at most the last line."""
+def append_text(path: Path, text: str) -> None:
+    """Append *text* and fsync it so a crash loses at most the last line."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", encoding="utf-8") as fh:
-        fh.write(dumps(record) + "\n")
+        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def append_record(path: Path, record: Any) -> None:
+    """Append one record, as append_text does."""
+    append_text(path, dumps(record) + "\n")
 
 
 def iter_records(path: Path) -> Iterator[Any]:

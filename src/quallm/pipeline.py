@@ -38,7 +38,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from . import ndjson
 from .gateway import Gateway, GatewayFailure
@@ -50,9 +50,10 @@ from .models import (
     SubThemeAssignment,
     SubThemeSet,
     ThemeAssignment,
+    ThemeCategory,
 )
 from .stages import (
-    ChunkOutcome,
+    LetterResult,
     chunk_slices,
     classify_chunk,
     generate_for_group,
@@ -62,8 +63,8 @@ from .stages import (
 
 logger = logging.getLogger(__name__)
 
-# call(chunk_index, chunk) -> outcome of one serial->letter chunk
-LetterCall = Callable[[int, Sequence[Concern]], ChunkOutcome]
+# call(chunk_index, chunk) -> result of one serial->letter chunk
+LetterCall = Callable[[int, Sequence[Concern]], LetterResult]
 
 STAGE_GENERATE = "generate"
 STAGE_CLASSIFY = "classify"
@@ -169,9 +170,9 @@ class Checkpoint:
                 "%s: quarantined %d corrupt checkpoint line(s)",
                 self.path.name, len(bad_lines),
             )
-            with self.quarantine_path.open("a", encoding="utf-8") as fh:
-                for line in bad_lines:
-                    fh.write(line + "\n")
+            ndjson.append_text(
+                self.quarantine_path, "".join(line + "\n" for line in bad_lines)
+            )
             ndjson.write_text(
                 self.path, "".join(line + "\n" for line in good_lines)
             )
@@ -194,29 +195,27 @@ def _fingerprint(paths: Iterable[Path]) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class UnitResult:
-    key: str
-    status: str  # "ok" | "failed"
-    payload: dict = field(default_factory=dict)
-    category: str = ""
-    detail: str = ""
-    attempts: int = 0
+T = TypeVar("T")
 
-    def to_record(self) -> dict:
-        record: dict = {"key": self.key, "status": self.status}
-        if self.status == "ok":
-            record["payload"] = self.payload
-        else:
-            record.update(
-                {
-                    "category": self.category,
-                    "detail": self.detail,
-                    "attempts": self.attempts,
-                    "payload": self.payload,
-                }
-            )
-        return record
+
+def _unit_record(
+    key: str,
+    result: Union[T, GatewayFailure],
+    payload: Callable[[T], dict],
+    failed_payload: dict,
+) -> dict:
+    """Checkpoint line of one unit: ``{key, status: "ok", payload}`` or
+    ``{key, status: "failed", category, detail, attempts, payload}``."""
+    if isinstance(result, GatewayFailure):
+        return {
+            "key": key,
+            "status": "failed",
+            "category": result.category,
+            "detail": result.detail,
+            "attempts": result.attempts,
+            "payload": failed_payload,
+        }
+    return {"key": key, "status": "ok", "payload": payload(result)}
 
 
 @dataclass
@@ -244,17 +243,6 @@ class StageReport:
         }
 
 
-def _failure_unit(key: str, failure: GatewayFailure, payload: dict) -> UnitResult:
-    return UnitResult(
-        key=key,
-        status="failed",
-        payload=payload,
-        category=failure.category,
-        detail=failure.detail,
-        attempts=failure.attempts,
-    )
-
-
 class PipelineRunner:
     """Executes stages with a bounded worker pool and per-unit checkpoints."""
 
@@ -279,12 +267,13 @@ class PipelineRunner:
     def _run_units(
         self,
         stage: str,
-        units: Sequence[tuple[str, Callable[[], UnitResult]]],
+        units: Sequence[tuple[str, Callable[[], dict]]],
         input_files: Sequence[Path],
         retry_failed: bool = False,
     ) -> tuple[list[dict], StageReport]:
-        """Run the pending *units*; return their checkpoint entries in unit
-        order (units with no entry left out) and the stage report."""
+        """Run the pending *units*, each returning its checkpoint record;
+        return the entries in unit order (units with no entry left out) and
+        the stage report."""
         checkpoint = Checkpoint(self.paths.checkpoint(stage),
                                 self.paths.quarantine(stage))
         checkpoint.path.parent.mkdir(parents=True, exist_ok=True)
@@ -312,12 +301,12 @@ class PipelineRunner:
         executed = 0
         if pending:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = {pool.submit(fn): key for key, fn in pending}
+                futures = [pool.submit(fn) for _, fn in pending]
                 try:
                     for future in as_completed(futures):
-                        result = future.result()
-                        checkpoint.append(result.to_record())
-                        done[result.key] = result.to_record()
+                        record = future.result()
+                        checkpoint.append(record)
+                        done[record["key"]] = record
                         executed += 1
                 except KeyboardInterrupt:
                     # Completed units are already checkpointed; drop the rest.
@@ -405,23 +394,15 @@ class PipelineRunner:
             raise PipelineOrderError(STAGE_GENERATE, "ingest")
         groups = read_groups(self.paths.groups)
 
-        def make_unit(group: BatchGroup) -> Callable[[], UnitResult]:
-            def run() -> UnitResult:
-                outcome = generate_for_group(
-                    self.gateway, group, self.study, self.template_dir
-                )
-                if outcome.ok:
-                    return UnitResult(
-                        key=group.group_key,
-                        status="ok",
-                        payload={"concerns": [c.to_dict() for c in outcome.concerns]},
-                    )
-                assert outcome.failure is not None
-                return _failure_unit(group.group_key, outcome.failure, {})
+        def generate(group: BatchGroup) -> dict:
+            return _unit_record(
+                group.group_key,
+                generate_for_group(self.gateway, group, self.study, self.template_dir),
+                lambda concerns: {"concerns": [c.to_dict() for c in concerns]},
+                {},
+            )
 
-            return run
-
-        units = [(g.group_key, make_unit(g)) for g in groups]
+        units = [(g.group_key, functools.partial(generate, g)) for g in groups]
         entries, report = self._run_units(
             STAGE_GENERATE, units, [self.paths.groups], retry_failed
         )
@@ -452,7 +433,7 @@ class PipelineRunner:
             raise PipelineOrderError(STAGE_CLASSIFY, STAGE_GENERATE)
         concerns = load_concerns(self.paths.concerns)
 
-        def classify(index: int, chunk: Sequence[Concern]) -> ChunkOutcome:
+        def classify(index: int, chunk: Sequence[Concern]) -> LetterResult:
             return classify_chunk(self.gateway, chunk, self.study, index,
                                   self.template_dir)
 
@@ -475,30 +456,21 @@ class PipelineRunner:
             raise PipelineOrderError(STAGE_AGGREGATE, STAGE_CLASSIFY)
         theme_concerns = themed_concerns(self.paths)
 
-        units = []
-        for category in self.study.taxonomy.active:
-            concerns = theme_concerns.get(category.code, [])
-            if not concerns:
-                continue
+        def aggregate(category: ThemeCategory, concerns: list[Concern]) -> dict:
+            return _unit_record(
+                category.code,
+                run_aggregation(self.gateway, category, concerns, self.study,
+                                self.template_dir),
+                lambda subthemes: {"subthemes": subthemes.to_dict()},
+                {},
+            )
 
-            def make_unit(cat, cat_concerns) -> Callable[[], UnitResult]:
-                def run() -> UnitResult:
-                    outcome = run_aggregation(
-                        self.gateway, cat, cat_concerns, self.study, self.template_dir
-                    )
-                    if outcome.ok:
-                        assert outcome.subthemes is not None
-                        return UnitResult(
-                            key=cat.code,
-                            status="ok",
-                            payload={"subthemes": outcome.subthemes.to_dict()},
-                        )
-                    assert outcome.failure is not None
-                    return _failure_unit(cat.code, outcome.failure, {})
-
-                return run
-
-            units.append((category.code, make_unit(category, concerns)))
+        units = [
+            (category.code, functools.partial(aggregate, category,
+                                              theme_concerns[category.code]))
+            for category in self.study.taxonomy.active
+            if theme_concerns.get(category.code)
+        ]
 
         entries, report = self._run_units(
             STAGE_AGGREGATE,
@@ -539,7 +511,7 @@ class PipelineRunner:
         theme_concerns = themed_concerns(self.paths)
 
         def assigner(subthemes: SubThemeSet) -> LetterCall:
-            def assign(index: int, chunk: Sequence[Concern]) -> ChunkOutcome:
+            def assign(index: int, chunk: Sequence[Concern]) -> LetterResult:
                 return prevalence_chunk(self.gateway, subthemes, chunk, self.study,
                                         index, self.template_dir)
 
@@ -587,24 +559,19 @@ class PipelineRunner:
 
 def _letter_unit(
     key: str, theme: str, index: int, chunk: Sequence[Concern], call: LetterCall
-) -> UnitResult:
-    outcome = call(index, chunk)
-    if outcome.ok:
-        assert outcome.letters is not None
+) -> dict:
+    def payload(result: tuple[list[str], int]) -> dict:
+        letters, remapped = result
         assignments = []
-        for concern, letter in zip(chunk, outcome.letters):
+        for concern, letter in zip(chunk, letters):
             record = {"concern_id": concern.concern_id, "code": letter}
             if theme:
                 record["theme"] = theme
             assignments.append(record)
-        return UnitResult(
-            key=key,
-            status="ok",
-            payload={"assignments": assignments, "remapped": outcome.remapped},
-        )
-    assert outcome.failure is not None
-    return _failure_unit(key, outcome.failure,
-                         {"concern_ids": list(outcome.concern_ids)})
+        return {"assignments": assignments, "remapped": remapped}
+
+    return _unit_record(key, call(index, chunk), payload,
+                        {"concern_ids": [c.concern_id for c in chunk]})
 
 
 def _count_values(records: Iterable[dict], field_name: str) -> dict[str, int]:

@@ -191,9 +191,15 @@ def load_quotes(path: Path) -> QuoteMap:
     """Load the human-edited quote file: a JSON list of
     {"theme": letter, "rank": int, "quote": text} objects."""
     data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: expected a JSON list of quote objects")
     quotes: QuoteMap = {}
-    for item in data:
-        quotes[(str(item["theme"]), int(item["rank"]))] = str(item["quote"])
+    for index, item in enumerate(data, start=1):
+        try:
+            quotes[(str(item["theme"]), int(item["rank"]))] = str(item["quote"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: entry {index} needs a theme, an integer rank"
+                             " and a quote") from exc
     return quotes
 
 

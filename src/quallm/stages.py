@@ -10,6 +10,11 @@ stage's contract is usually a formatting fluke, so the same prompt is
 re-asked up to ``parity_retries`` times before the unit is marked
 failed. Gateway-level failures (throttling past the cap, content
 filtering) are never retried here.
+
+Each unit function (``generate_for_group``, ``classify_chunk``,
+``run_aggregation``, ``prevalence_chunk``) returns its value (the
+group's concerns, the chunk's ``(letters, remapped)`` or the theme's
+sub-theme set) or the ``GatewayFailure`` that ended it, as ``_ask`` does.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
@@ -225,17 +230,6 @@ def verify_quote(
     return QUOTE_ABSENT
 
 
-@dataclass
-class GenerationOutcome:
-    group_key: str
-    concerns: list[Concern] = field(default_factory=list)
-    failure: Optional[GatewayFailure] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-
 def _attach_quote_checks(concerns: list[Concern], group: BatchGroup) -> list[Concern]:
     text = GroupText(group) if concerns else None
     return [
@@ -257,7 +251,7 @@ def generate_for_group(
     group: BatchGroup,
     config: StudyConfig,
     template_dir: Optional[Path] = None,
-) -> GenerationOutcome:
+) -> Union[list[Concern], GatewayFailure]:
     """Run the generation stage for one batch group.
 
     A group whose prompt exceeds the context budget is split into
@@ -268,11 +262,8 @@ def generate_for_group(
         prompt = render_generation_prompt(group, config, template_dir)
     except PromptTooLargeError as exc:
         if len(group.members) == 1:
-            return GenerationOutcome(
-                group_key=group.group_key,
-                failure=GatewayFailure(category=OTHER, attempts=0, detail=str(exc)),
-            )
-        outcome = GenerationOutcome(group_key=group.group_key)
+            return GatewayFailure(category=OTHER, attempts=0, detail=str(exc))
+        concerns: list[Concern] = []
         for member in group.members:
             singleton = BatchGroup(
                 group_key=derive_group_key([member.submission_id]),
@@ -280,21 +271,18 @@ def generate_for_group(
                 earliest_timestamp=member.created_at,
             )
             sub = generate_for_group(gateway, singleton, config, template_dir)
-            if not sub.ok:
-                outcome.failure = sub.failure
-                return outcome
-            outcome.concerns.extend(sub.concerns)
-        return outcome
+            if isinstance(sub, GatewayFailure):
+                return sub
+            concerns.extend(sub)
+        return concerns
 
-    concerns = _ask(
+    parsed = _ask(
         gateway, prompt, f"gen:{group.group_key}",
         lambda text: parse_generation_output(text, group), config.parity_retries,
     )
-    if isinstance(concerns, GatewayFailure):
-        return GenerationOutcome(group_key=group.group_key, failure=concerns)
-    return GenerationOutcome(
-        group_key=group.group_key, concerns=_attach_quote_checks(concerns, group)
-    )
+    if isinstance(parsed, GatewayFailure):
+        return parsed
+    return _attach_quote_checks(parsed, group)
 
 
 # ---------------------------------------------------------------------------
@@ -331,41 +319,32 @@ def check_parity(mapping: dict[int, str], expected_count: int) -> None:
                                    f" (first missing: {missing})")
 
 
-@dataclass
-class ChunkOutcome:
-    """Result of one classification or prevalence chunk."""
-
-    concern_ids: list[str]
-    letters: Optional[list[str]] = None
-    failure: Optional[GatewayFailure] = None
-    remapped: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
+# A letter chunk's value: one letter per concern, in chunk order, and how
+# many of them were remapped to the catch-all.
+LetterResult = Union[tuple[list[str], int], GatewayFailure]
 
 
 def _run_letter_chunk(
     gateway: Gateway,
     prompt: str,
     tag: str,
-    concern_ids: list[str],
+    count: int,
     valid_codes: Sequence[str],
     catch_all: str,
     retries: int,
-) -> ChunkOutcome:
+) -> LetterResult:
     def parse(text: str) -> dict[int, str]:
         mapping = parse_serial_letter_map(text)
-        check_parity(mapping, len(concern_ids))
+        check_parity(mapping, count)
         return mapping
 
     mapping = _ask(gateway, prompt, tag, parse, retries)
     if isinstance(mapping, GatewayFailure):
-        return ChunkOutcome(concern_ids=concern_ids, failure=mapping)
+        return mapping
     letters: list[str] = []
     remapped = 0
     valid = set(valid_codes)
-    for serial in range(1, len(concern_ids) + 1):
+    for serial in range(1, count + 1):
         letter = mapping[serial]
         if letter not in valid:
             logger.warning(
@@ -375,7 +354,7 @@ def _run_letter_chunk(
             letter = catch_all
             remapped += 1
         letters.append(letter)
-    return ChunkOutcome(concern_ids=concern_ids, letters=letters, remapped=remapped)
+    return letters, remapped
 
 
 def chunk_slices(total: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -389,13 +368,13 @@ def classify_chunk(
     config: StudyConfig,
     chunk_index: int,
     template_dir: Optional[Path] = None,
-) -> ChunkOutcome:
+) -> LetterResult:
     prompt = render_classification_prompt(concerns, config, template_dir)
     return _run_letter_chunk(
         gateway,
         prompt,
         tag=f"cls:{chunk_index}",
-        concern_ids=[c.concern_id for c in concerns],
+        count=len(concerns),
         valid_codes=config.taxonomy.codes,
         catch_all=config.taxonomy.catch_all.code,
         retries=config.parity_retries,
@@ -480,24 +459,13 @@ def parse_subtheme_output(text: str, theme: str, expected_n: int) -> SubThemeSet
         raise MalformedStageOutput(str(exc)) from exc
 
 
-@dataclass
-class AggregationOutcome:
-    theme: str
-    subthemes: Optional[SubThemeSet] = None
-    failure: Optional[GatewayFailure] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-
 def run_aggregation(
     gateway: Gateway,
     category: ThemeCategory,
     theme_concerns: Sequence[Concern],
     config: StudyConfig,
     template_dir: Optional[Path] = None,
-) -> AggregationOutcome:
+) -> Union[SubThemeSet, GatewayFailure]:
     """Produce the ranked sub-theme set for one theme.
 
     When the concern list exceeds the per-call budget, chunked map calls
@@ -515,16 +483,11 @@ def run_aggregation(
             config.parity_retries,
         )
 
-    def outcome(result: Union[SubThemeSet, GatewayFailure]) -> AggregationOutcome:
-        if isinstance(result, GatewayFailure):
-            return AggregationOutcome(theme=theme, failure=result)
-        return AggregationOutcome(theme=theme, subthemes=result)
-
     plan = plan_aggregation(len(theme_concerns), config.aggregation_chunk_size)
     if plan.merge_calls == 0:
         prompt = render_aggregation_prompt(category, theme_concerns, config,
                                            template_dir)
-        return outcome(ask(prompt, f"agg:{theme}"))
+        return ask(prompt, f"agg:{theme}")
 
     candidates: list[SubThemeSet] = []
     for j, (start, end) in enumerate(
@@ -535,11 +498,11 @@ def run_aggregation(
         )
         result = ask(prompt, f"agg:{theme}:map:{j}")
         if isinstance(result, GatewayFailure):
-            return outcome(result)
+            return result
         candidates.append(result)
 
     merge_prompt = render_merge_prompt(category, candidates, config, template_dir)
-    return outcome(ask(merge_prompt, f"agg:{theme}:merge"))
+    return ask(merge_prompt, f"agg:{theme}:merge")
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +517,14 @@ def prevalence_chunk(
     config: StudyConfig,
     chunk_index: int,
     template_dir: Optional[Path] = None,
-) -> ChunkOutcome:
+) -> LetterResult:
     prompt = render_prevalence_prompt(subthemes, concerns, template_dir)
     valid = list(subthemes.codes) + [subthemes.catch_all_code]
     return _run_letter_chunk(
         gateway,
         prompt,
         tag=f"prev:{subthemes.theme}:{chunk_index}",
-        concern_ids=[c.concern_id for c in concerns],
+        count=len(concerns),
         valid_codes=valid,
         catch_all=subthemes.catch_all_code,
         retries=config.parity_retries,

@@ -286,19 +286,20 @@ def load_topics(path: Path) -> TopicModelOutput:
     """Load a TopicModelOutput from JSON:
     {"topics": [{"topic_id", "frequency", "terms": {term: weight}}, ...]}."""
     data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict) or not isinstance(data.get("topics"), list):
+        raise ValueError(f"{path}: expected an object with a 'topics' list")
     topics = []
-    for item in data["topics"]:
-        raw_terms = {str(k): float(v) for k, v in item["terms"].items()}
+    for index, item in enumerate(data["topics"], start=1):
+        try:
+            topic_id, frequency = str(item["topic_id"]), int(item["frequency"])
+            raw_terms = {str(k): float(v) for k, v in item["terms"].items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: topic {index} needs a topic_id, an integer"
+                             " frequency and a terms object") from exc
         total = sum(raw_terms.values())
         if total > 0:
             raw_terms = {k: v / total for k, v in raw_terms.items()}
-        topics.append(
-            Topic(
-                topic_id=str(item["topic_id"]),
-                frequency=int(item["frequency"]),
-                terms=raw_terms,
-            )
-        )
+        topics.append(Topic(topic_id=topic_id, frequency=frequency, terms=raw_terms))
     return TopicModelOutput(topics=tuple(topics), seed=int(data.get("seed", 0)))
 
 

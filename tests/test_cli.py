@@ -564,3 +564,146 @@ def test_cli_import_does_not_load_numpy():
         timeout=60,
     )
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("setting", ["max_attempts=0", "parity_retries=-1",
+                                     "backoff_base=-1"])
+def test_unworkable_retry_setting_exits_2_before_any_call(fixture, capsys, setting):
+    assert run_ingest(fixture) == 0
+    with fixture.config_path.open("a") as fh:
+        fh.write(setting + "\n")
+    rc = main(["generate", "--config", str(fixture.config_path)])
+    assert rc == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not (fixture.run_dir / "llm_log.ndjson").exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed hand-edited input files
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "quotes, where",
+    [('[{"theme": "A", "quote": "no rank here"}]', "entry 1"),
+     ('{"theme": "A", "rank": 1, "quote": "not in a list"}', "list")],
+    ids=["missing-rank", "not-a-list"],
+)
+def test_malformed_quotes_file_exits_2(fixture, capsys, quotes, where):
+    (fixture.root / "quotes.json").write_text(quotes)
+    with fixture.config_path.open("a") as fh:
+        fh.write("quotes=quotes.json\n")
+    run_ingest(fixture)
+    main(["run-all", "--config", str(fixture.config_path)])
+    capsys.readouterr()
+    rc = main(["report", "--config", str(fixture.config_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "quotes.json" in err and where in err
+
+
+def test_judgment_row_without_verdict_exits_2(fixture, tmp_path, capsys):
+    judgments = tmp_path / "judgments.csv"
+    judgments.write_text("item_id,verdict\na,yes\nb\nc,no\n")
+    fixture.run_dir.mkdir(parents=True, exist_ok=True)
+    rc = main(["eval", "--config", str(fixture.config_path), "--metrics", "factuality",
+               "--factuality-judgments", str(judgments)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "judgments.csv: line 3" in err
+
+
+def test_label_row_without_label_exits_2(fixture, tmp_path, capsys):
+    gold = tmp_path / "gold.csv"
+    gold.write_text("item_id,annotator_id,label\ni1,gold,A\ni2,gold\ni3,gold,B\n")
+    predicted = tmp_path / "predicted.csv"
+    predicted.write_text("item_id,annotator_id,label\ni1,llm,A\ni2,llm,A\ni3,llm,B\n")
+    fixture.run_dir.mkdir(parents=True, exist_ok=True)
+    rc = main(["eval", "--config", str(fixture.config_path), "--metrics", "accuracy",
+               "--gold", str(gold), "--predicted", str(predicted)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "gold.csv: line 3" in err
+
+
+def test_external_topic_without_frequency_is_that_themes_error(fixture, tmp_path):
+    run_ingest(fixture)
+    main(["run-all", "--config", str(fixture.config_path)])
+    topics_dir = tmp_path / "topics"
+    topics_dir.mkdir()
+    (topics_dir / "topics_A.json").write_text(
+        json.dumps({"topics": [{"topic_id": "t1", "terms": {"fare": 1}}]})
+    )
+    rc = main(["eval", "--config", str(fixture.config_path), "--metrics", "aggregation",
+               "--min-topic-size", "1", "--topics-dir", str(topics_dir)])
+    assert rc == 0
+    data = json.loads((fixture.run_dir / "metrics.json").read_text())
+    [mean] = [m for m in data["metrics"] if m["name"] == "distinctness_mean"]
+    per_theme = mean["details"]["per_theme"]
+    assert "topics_A.json: topic 1" in per_theme["A"]["error"]
+    assert per_theme["B"]["error"] == ""
+
+
+# ---------------------------------------------------------------------------
+# every run-directory write goes through quallm.ndjson
+# ---------------------------------------------------------------------------
+
+# Audit hooks cannot be removed, so the one below records only while
+# _AUDIT["run_dir"] is set: (path, opened from quallm/ndjson.py) per
+# write-mode open under that directory.
+_AUDIT: dict = {"run_dir": None, "writes": []}
+_NDJSON_FILE = os.path.join("quallm", "ndjson.py")
+
+
+def _audit_open(event, args):
+    run_dir = _AUDIT["run_dir"]
+    if run_dir is None or event != "open":
+        return
+    path, _, flags = args
+    if isinstance(path, int) or not flags & (os.O_WRONLY | os.O_RDWR):
+        return
+    path = Path(os.fsdecode(path)).resolve()
+    if run_dir not in path.parents:
+        return
+    frame, via_ndjson = sys._getframe(1), False
+    while frame is not None and not via_ndjson:
+        via_ndjson = frame.f_code.co_filename.endswith(_NDJSON_FILE)
+        frame = frame.f_back
+    _AUDIT["writes"].append((path.relative_to(run_dir).as_posix(), via_ndjson))
+
+
+sys.addaudithook(_audit_open)
+
+
+def test_every_run_directory_write_goes_through_ndjson(fixture):
+    def audited(argv):
+        _AUDIT["run_dir"] = fixture.run_dir.resolve()
+        try:
+            return main(argv + ["--config", str(fixture.config_path)])
+        finally:
+            _AUDIT["run_dir"] = None
+
+    _AUDIT["writes"] = []
+    assert audited(["ingest", "--submissions", str(fixture.submissions_path),
+                    "--comments", str(fixture.comments_path)]) == 0
+    assert audited(["run-all"]) == 0
+    checkpoint = fixture.run_dir / "checkpoints" / "classify.ndjson"
+    lines = checkpoint.read_text().splitlines()
+    checkpoint.write_text("\n".join(lines[:-1] + ['{"key": "1", "sta']) + "\n")
+    assert audited(["run-all"]) == 0
+    assert audited(["report"]) == 0
+    assert audited(["cost"]) == 0
+    assert audited(["eval", "--metrics", "aggregation", "--min-topic-size", "1"]) == 0
+
+    assert [path for path, via_ndjson in _AUDIT["writes"] if not via_ndjson] == []
+    seen = {path for path, _ in _AUDIT["writes"]}
+    assert {
+        "groups.ndjson.tmp",
+        "llm_log.ndjson",
+        "checkpoints/generate.ndjson",
+        "checkpoints/classify.quarantine.ndjson",
+        "concerns.ndjson.tmp",
+        "report.md.tmp",
+        "cost.md.tmp",
+        "metrics.json.tmp",
+    } <= seen

@@ -14,6 +14,13 @@ from quallm.pipeline import (
     RunPaths,
 )
 
+from conftest import (
+    make_concern,
+    make_doc,
+    make_group,
+    make_subthemes,
+    scripted_gateway,
+)
 
 
 def build_runner(fixture, workers=4, run_dir=None):
@@ -320,3 +327,88 @@ def test_classification_failures_conserve_concerns(fixture, tmp_path):
     summary = json.loads(paths.summary("classify").read_text())
     total = summary["assigned"] + summary["failed_concerns"]
     assert total == summary["concerns_in"]
+
+
+# ---------------------------------------------------------------------------
+# checkpoint record format
+# ---------------------------------------------------------------------------
+
+
+def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
+    # Run directories must resume across versions, so the whole record of
+    # one ok and one failed unit of each kind is pinned here.
+    paths = RunPaths(tmp_path / "run")
+    groups = [
+        make_group("aaaa000000000001", [make_doc("s1", "The fare math never adds up.")]),
+        make_group("aaaa000000000002", [make_doc("s2", "Support never answers.")]),
+    ]
+    ndjson.write_records(paths.groups, [g.to_dict() for g in groups])
+    generated = [{"title": "Opaque fares", "description": "d", "quote": "fare math"}]
+    gateway = scripted_gateway([
+        {"request_tag": "gen:aaaa000000000001", "response_text": json.dumps(generated)},
+        {"request_tag": "gen:aaaa000000000002", "failure": "content_filtered"},
+        {"request_tag": "cls:1", "response_text": '{"1": "A", "2": "B", "3": "Z"}'},
+        {"request_tag": "cls:2", "response_text": '{"1": "A", "2": "B"}'},
+        {"request_tag": "agg:A", "response_text": json.dumps(
+            [{"concern_rank": r, "concern_title": f"pattern {r}",
+              "concern_description": f"detail {r}"} for r in range(1, 6)])},
+        {"request_tag": "agg:B", "failure": "content_filtered"},
+        {"request_tag": "prev:A:1", "response_text": '{"1": "A", "2": "Q", "3": "B"}'},
+        {"request_tag": "prev:A:2", "failure": "content_filtered"},
+    ])
+    runner = PipelineRunner(paths, study, gateway, workers=2)
+
+    def records(stage):
+        return {r["key"]: r for r in ndjson.iter_records(paths.checkpoint(stage))}
+
+    def failed(key, payload, category="content_filtered",
+               detail="scripted content_filtered", attempts=1):
+        return {"key": key, "status": "failed", "category": category, "detail": detail,
+                "attempts": attempts, "payload": payload}
+
+    runner.stage_generate()
+    assert records("generate") == {
+        "aaaa000000000001": {"key": "aaaa000000000001", "status": "ok", "payload": {
+            "concerns": [{"concern_id": "aaaa000000000001-0001",
+                          "group_key": "aaaa000000000001",
+                          "earliest_timestamp": 1_650_000_000, "title": "Opaque fares",
+                          "description": "d", "quote": "fare math",
+                          "quote_check": "verbatim"}]}},
+        "aaaa000000000002": failed("aaaa000000000002", {}),
+    }
+
+    # Four concerns in chunks of 3: the second chunk breaks parity every time.
+    ids = [f"cccc000000000001-000{i}" for i in range(1, 5)]
+    ndjson.write_records(paths.concerns, [make_concern(c).to_dict() for c in ids])
+    runner.stage_classify()
+    assert records("classify") == {
+        "1": {"key": "1", "status": "ok", "payload": {
+            "assignments": [{"concern_id": ids[0], "code": "A"},
+                            {"concern_id": ids[1], "code": "B"},
+                            {"concern_id": ids[2], "code": "E"}],
+            "remapped": 1}},
+        "2": failed(
+            "2", {"concern_ids": [ids[3]]}, category="malformed_output",
+            detail="contract violated after 2 retries: expected 1 entries, got 2",
+            attempts=3,
+        ),
+    }
+
+    runner.stage_aggregate()
+    assert records("aggregate") == {
+        "A": {"key": "A", "status": "ok",
+              "payload": {"subthemes": make_subthemes("A").to_dict()}},
+        "B": failed("B", {}),
+    }
+
+    ndjson.write_records(paths.theme_assignments,
+                         [{"concern_id": c, "code": "A"} for c in ids])
+    runner.stage_prevalence()
+    assert records("prevalence") == {
+        "A:1": {"key": "A:1", "status": "ok", "payload": {
+            "assignments": [{"concern_id": ids[0], "code": "A", "theme": "A"},
+                            {"concern_id": ids[1], "code": "F", "theme": "A"},
+                            {"concern_id": ids[2], "code": "B", "theme": "A"}],
+            "remapped": 1}},
+        "A:2": failed("A:2", {"concern_ids": [ids[3]]}),
+    }

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from quallm import ndjson
+from quallm.gateway import GatewayFailure
 from quallm.models import SubThemeSet
 from quallm.stages import (
     AggregationPlan,
@@ -258,9 +259,9 @@ def test_generate_for_group_quote_check_equals_direct_verify_quote(study):
         [{"request_tag": "gen:ab12000000000009", "response_text": json.dumps(items)}]
     )
     outcome = generate_for_group(gateway, group, study)
-    assert outcome.ok
-    direct = [verify_quote(c, group) for c in outcome.concerns]
-    assert [c.quote_check for c in outcome.concerns] == direct
+    assert not isinstance(outcome, GatewayFailure)
+    direct = [verify_quote(c, group) for c in outcome]
+    assert [c.quote_check for c in outcome] == direct
     assert direct == ["verbatim", "fuzzy", "verbatim", "absent", "absent"]
 
 
@@ -455,8 +456,8 @@ def test_aggregation_single_call_accepted(study):
     outcome = run_aggregation(
         gateway, study.taxonomy.categories[0], _concerns(3), study
     )
-    assert outcome.ok
-    assert [e.rank for e in outcome.subthemes.by_rank()] == [1, 2, 3, 4, 5]
+    assert not isinstance(outcome, GatewayFailure)
+    assert [e.rank for e in outcome.by_rank()] == [1, 2, 3, 4, 5]
 
 
 def test_aggregation_duplicate_ranks_rejected_then_retried(study):
@@ -474,7 +475,7 @@ def test_aggregation_duplicate_ranks_rejected_then_retried(study):
     outcome = run_aggregation(
         gateway, study.taxonomy.categories[0], _concerns(3), study
     )
-    assert outcome.ok
+    assert not isinstance(outcome, GatewayFailure)
     assert gateway.backend.calls == 2
 
 
@@ -484,8 +485,8 @@ def test_aggregation_persistent_violation_fails_theme(study):
     outcome = run_aggregation(
         gateway, study.taxonomy.categories[0], _concerns(3), study
     )
-    assert not outcome.ok
-    assert outcome.failure.category == "malformed_output"
+    assert isinstance(outcome, GatewayFailure)
+    assert outcome.category == "malformed_output"
 
 
 def test_aggregation_reask_meeting_gateway_failure_keeps_its_category(study):
@@ -497,8 +498,8 @@ def test_aggregation_reask_meeting_gateway_failure_keeps_its_category(study):
     outcome = run_aggregation(
         gateway, study.taxonomy.categories[0], _concerns(3), study
     )
-    assert not outcome.ok
-    assert outcome.failure.category == "content_filtered"
+    assert isinstance(outcome, GatewayFailure)
+    assert outcome.category == "content_filtered"
     assert gateway.backend.calls == 2
 
 
@@ -514,9 +515,9 @@ def test_aggregation_map_reduce_schedule_executes(study):
     outcome = run_aggregation(
         gateway, study.taxonomy.categories[0], _concerns(10), study
     )
-    assert outcome.ok
+    assert not isinstance(outcome, GatewayFailure)
     assert plan_aggregation(10, 4) == AggregationPlan(map_calls=3, merge_calls=1)
-    assert outcome.subthemes.by_rank()[0].title == "final 1"
+    assert outcome.by_rank()[0].title == "final 1"
     assert gateway.backend.calls == 4
 
 
@@ -609,8 +610,8 @@ def test_generate_for_group_happy_path(study):
         [{"request_tag": "gen:ab12000000000001", "response_text": response}]
     )
     outcome = generate_for_group(gateway, group, study)
-    assert outcome.ok
-    [concern] = outcome.concerns
+    assert not isinstance(outcome, GatewayFailure)
+    [concern] = outcome
     assert concern.quote_check == "verbatim"
 
 
@@ -620,11 +621,11 @@ def test_generate_for_group_malformed_marks_failed(study):
         [{"request_tag": "gen:ab12000000000002", "response_text": "noise"}]
     )
     outcome = generate_for_group(gateway, group, study)
-    assert not outcome.ok
-    assert outcome.failure.category == "malformed_output"
+    assert isinstance(outcome, GatewayFailure)
+    assert outcome.category == "malformed_output"
     # The mock replays its last entry, so every re-ask gets the same noise.
     assert gateway.backend.calls == study.parity_retries + 1
-    assert outcome.failure.attempts == study.parity_retries + 1
+    assert outcome.attempts == study.parity_retries + 1
 
 
 def test_generate_for_group_reasks_malformed_reply(study, tmp_path):
@@ -645,8 +646,8 @@ def test_generate_for_group_reasks_malformed_reply(study, tmp_path):
         run_log_path=log,
     )
     outcome = generate_for_group(gateway, group, study)
-    assert outcome.ok
-    [concern] = outcome.concerns
+    assert not isinstance(outcome, GatewayFailure)
+    [concern] = outcome
     assert concern.quote_check == "verbatim"
     assert gateway.backend.calls == 2
     # Both replies were billed: the ledger and the run log count each one.
@@ -663,7 +664,7 @@ def test_generate_for_group_gateway_failure_propagates(study):
         [{"request_tag": "gen:ab12000000000003", "failure": "content_filtered"}]
     )
     outcome = generate_for_group(gateway, group, study)
-    assert outcome.failure.category == "content_filtered"
+    assert outcome.category == "content_filtered"
 
 
 def test_generate_oversized_group_splits_into_singletons(study):
@@ -687,9 +688,9 @@ def test_generate_oversized_group_splits_into_singletons(study):
         )
     gateway = scripted_gateway(entries)
     outcome = generate_for_group(gateway, group, study)
-    assert outcome.ok
-    assert len(outcome.concerns) == 3
+    assert not isinstance(outcome, GatewayFailure)
+    assert len(outcome) == 3
     assert gateway.backend.calls == 3
     # each concern carries its singleton group's provenance
-    assert len({c.group_key for c in outcome.concerns}) == 3
-    assert {c.earliest_timestamp for c in outcome.concerns} == {100, 101, 102}
+    assert len({c.group_key for c in outcome}) == 3
+    assert {c.earliest_timestamp for c in outcome} == {100, 101, 102}
