@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 input/config error, 3 pipeline-order error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -63,7 +62,8 @@ def _build_gateway(config: RunConfig, paths: RunPaths) -> Gateway:
         max_attempts=config.max_attempts, base_delay=config.backoff_base
     )
     if config.backend == BACKEND_LIVE:
-        backend = HttpBackend(endpoint=config.endpoint)
+        backend = HttpBackend(config.endpoint, config.model, config.temperature,
+                              config.max_output_tokens)
     else:
         if config.mock_script is not None:
             if not config.mock_script.exists():
@@ -75,16 +75,7 @@ def _build_gateway(config: RunConfig, paths: RunPaths) -> Gateway:
             )
         else:
             backend = MockBackend([], default_text=config.mock_default_text)
-    return Gateway(
-        backend,
-        retry=retry,
-        ledger=TokenLedger(config.input_rate, config.output_rate),
-        run_log_path=paths.llm_log,
-        seed=config.seed,
-        model_name=config.model,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-    )
+    return Gateway(backend, retry=retry, run_log_path=paths.llm_log, seed=config.seed)
 
 
 def _runner(config: RunConfig) -> PipelineRunner:
@@ -173,9 +164,7 @@ def cmd_retry_failed(args: argparse.Namespace) -> int:
     for stage in STAGES:
         summary = runner.paths.summary(stage)
         if summary.exists():
-            before[stage] = json.loads(summary.read_text(encoding="utf-8")).get(
-                "failed", 0
-            )
+            before[stage] = ndjson.read_json(summary).get("failed", 0)
 
     reports = runner.retry_failed()
     for report in reports:
@@ -236,7 +225,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     assert config.run_dir is not None
     paths = RunPaths(config.run_dir)
     if args.ledger:
-        data = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
+        data = ndjson.read_json(Path(args.ledger))
         try:
             tokens = int(data["total_input_tokens"]), int(data["total_output_tokens"])
         except (KeyError, TypeError) as exc:

@@ -7,11 +7,11 @@ parser has no dependencies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from . import ndjson
 from .models import StudyConfig, ThemeTaxonomy
 
 BACKEND_MOCK = "mock"
@@ -89,14 +89,21 @@ class RunConfig:
             raise ValueError("backend=mock requires mock_script or mock_default_text")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+        if not 0.0 <= self.temperature <= 2.0:
+            raise ValueError(f"temperature must be within [0, 2], got {self.temperature}")
+        if self.max_output_tokens < 1:
+            raise ValueError(
+                f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
+            )
+        if self.group_size < 1:
+            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
 
     def load_taxonomy(self) -> ThemeTaxonomy:
         if self.taxonomy is None:
             raise ValueError("taxonomy file is required (config key 'taxonomy')")
         if not self.taxonomy.exists():
             raise FileNotFoundError(f"taxonomy file not found: {self.taxonomy}")
-        data = json.loads(self.taxonomy.read_text(encoding="utf-8"))
-        return ThemeTaxonomy.from_dict(data)
+        return ThemeTaxonomy.from_dict(ndjson.read_json(self.taxonomy))
 
     def study(self) -> StudyConfig:
         if not self.topic:
@@ -104,7 +111,6 @@ class RunConfig:
         return StudyConfig(
             topic_description=self.topic,
             taxonomy=self.load_taxonomy(),
-            group_size=self.group_size,
             classification_chunk_size=self.classification_chunk_size,
             aggregation_chunk_size=self.aggregation_chunk_size,
             prevalence_chunk_size=self.prevalence_chunk_size,

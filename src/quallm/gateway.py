@@ -1,9 +1,14 @@
 """Chat-completion access with retry/throttle discipline and cost accounting.
 
-Two backends share one wire contract: a live HTTP backend speaking the
-common chat-completions JSON format, and a deterministic scripted mock
-used for tests and offline runs.  ``Gateway.complete`` owns the retry
-policy; stages never talk to a backend directly.
+A model call is ``Gateway.complete(prompt, tag)``: one user prompt for
+one unit, tagged with its stage and unit.  The gateway passes both to
+its backend's ``send(prompt, tag)`` and owns the retry policy; stages
+never talk to a backend directly.  Two backends share that signature: a
+live HTTP backend speaking the common chat-completions JSON format, which
+alone holds the model settings (model, temperature, max output tokens),
+and a deterministic scripted mock keyed by the tag, used for tests and
+offline runs.  Where a reply carries no token count, both backends
+estimate it from the prompt and reply text with ``estimate_tokens``.
 
 All workers of one ``Gateway`` share one throttle gate.  A 429 that
 carries a server retry hint (``retry-after-ms``, else ``Retry-After``
@@ -39,27 +44,6 @@ MALFORMED_OUTPUT = "malformed_output"
 NETWORK = "network"
 OTHER = "other"
 FAILURE_CATEGORIES = (THROTTLED, CONTENT_FILTERED, MALFORMED_OUTPUT, NETWORK, OTHER)
-
-
-@dataclass(frozen=True)
-class CompletionRequest:
-    """One chat-completion call; ``request_tag`` identifies stage + unit."""
-
-    messages: tuple[tuple[str, str], ...]
-    model_name: str
-    temperature: float = 0.2
-    max_output_tokens: int = 4096
-    request_tag: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError("messages must be non-empty")
-        if self.messages[0][0] not in ("system", "user"):
-            raise ValueError("first message role must be 'system' or 'user'")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be within [0, 2]")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be positive")
 
 
 @dataclass(frozen=True)
@@ -182,17 +166,14 @@ class MockBackend:
         # Past the scripted entries, keep replaying the last one.
         return queue[min(index, len(queue) - 1)]
 
-    def send(self, request: CompletionRequest) -> tuple[str, int, int]:
+    def send(self, prompt: str, tag: str) -> tuple[str, int, int]:
         with self._lock:
             self.calls += 1
-        entry = self._next_entry(request.request_tag)
+        entry = self._next_entry(tag)
         if entry is None:
-            if self._default_text is not None:
-                text = self._default_text
-                return text, estimate_tokens(str(request.messages)), estimate_tokens(text)
-            raise MalformedOutputError(
-                f"no scripted response for tag {request.request_tag!r}"
-            )
+            if self._default_text is None:
+                raise MalformedOutputError(f"no scripted response for tag {tag!r}")
+            entry = {"response_text": self._default_text}
         failure = entry.get("failure")
         if failure:
             exc = {
@@ -206,7 +187,7 @@ class MockBackend:
         input_tokens = entry.get("input_tokens")
         output_tokens = entry.get("output_tokens")
         if input_tokens is None:
-            input_tokens = sum(estimate_tokens(t) for _, t in request.messages)
+            input_tokens = estimate_tokens(prompt)
         if output_tokens is None:
             output_tokens = estimate_tokens(text)
         return text, int(input_tokens), int(output_tokens)
@@ -220,13 +201,17 @@ class HttpBackend:
     usual hosted variants accept it.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 120.0):
+    def __init__(self, endpoint: str, model: str, temperature: float,
+                 max_output_tokens: int, timeout: float = 120.0):
         if not endpoint:
             raise ValueError("live backend requires an endpoint URL")
         key = os.environ.get(API_KEY_ENV, "")
         if not key:
             raise ValueError(f"live backend requires the {API_KEY_ENV} env var")
         self.endpoint = endpoint
+        self.model = model
+        self.temperature = temperature
+        self.max_output_tokens = max_output_tokens
         self.timeout = timeout
         self._headers = {
             "Content-Type": "application/json",
@@ -234,16 +219,14 @@ class HttpBackend:
             "api-key": key,
         }
 
-    def send(self, request: CompletionRequest) -> tuple[str, int, int]:
+    def send(self, prompt: str, tag: str) -> tuple[str, int, int]:
         import requests
 
         payload = {
-            "model": request.model_name,
-            "messages": [
-                {"role": role, "content": text} for role, text in request.messages
-            ],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "model": self.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": self.temperature,
+            "max_tokens": self.max_output_tokens,
         }
         try:
             response = requests.post(
@@ -270,17 +253,29 @@ class HttpBackend:
             if choice.get("finish_reason") == "content_filter":
                 raise ContentFilteredError("finish_reason=content_filter")
             text = choice["message"]["content"]
-            usage = data.get("usage", {})
+            # An absent or null usage block or count means the provider gave none.
+            usage = data.get("usage") or {}
+            input_tokens = _usage_count(usage.get("prompt_tokens"))
+            output_tokens = _usage_count(usage.get("completion_tokens"))
         except ContentFilteredError:
             raise
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise MalformedOutputError(f"unexpected response shape: {exc}") from exc
 
-        input_tokens = int(usage.get("prompt_tokens", 0)) or estimate_tokens(
-            str(payload["messages"])
+        return (
+            text,
+            input_tokens or estimate_tokens(prompt),
+            output_tokens or estimate_tokens(text),
         )
-        output_tokens = int(usage.get("completion_tokens", 0)) or estimate_tokens(text)
-        return text, input_tokens, output_tokens
+
+
+def _usage_count(value: object) -> int:
+    """A reply's token count, 0 when absent; anything but a count raises."""
+    if value is None:
+        return 0
+    if type(value) is not int or value < 0:
+        raise ValueError(f"token count must be a non-negative integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +376,14 @@ class Gateway:
         self,
         backend,
         retry: RetryPolicy = RetryPolicy(),
-        ledger: Optional[TokenLedger] = None,
         run_log_path: Optional[Path] = None,
         sleep: Callable[[float], None] = time.sleep,
         seed: Optional[int] = None,
-        model_name: str = "default",
-        temperature: float = 0.2,
-        max_output_tokens: int = 4096,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.backend = backend
         self.retry = retry
-        self.model_name = model_name
-        self.temperature = temperature
-        self.max_output_tokens = max_output_tokens
-        self.ledger = ledger if ledger is not None else TokenLedger()
+        self.ledger = TokenLedger()
         self.run_log_path = run_log_path
         self._sleep = sleep
         self._rng = random.Random(seed)
@@ -445,17 +433,7 @@ class Gateway:
                 },
             )
 
-    def request(self, prompt: str, tag: str) -> CompletionRequest:
-        """Build a single-user-message request with this gateway's defaults."""
-        return CompletionRequest(
-            messages=(("user", prompt),),
-            model_name=self.model_name,
-            temperature=self.temperature,
-            max_output_tokens=self.max_output_tokens,
-            request_tag=tag,
-        )
-
-    def complete(self, request: CompletionRequest) -> CompletionOutcome:
+    def complete(self, prompt: str, tag: str) -> CompletionOutcome:
         attempts = throttled = 0
         waited = hinted = 0.0
         last_error: Optional[BackendError] = None
@@ -463,7 +441,7 @@ class Gateway:
             waited += self._wait_gate()
             attempts += 1
             try:
-                text, input_tokens, output_tokens = self.backend.send(request)
+                text, input_tokens, output_tokens = self.backend.send(prompt, tag)
             except (ThrottledError, NetworkError) as exc:
                 last_error = exc
                 if isinstance(exc, ThrottledError):
@@ -481,14 +459,13 @@ class Gateway:
                     waited += delay
                 continue
             except BackendError as exc:
-                self._log(request.request_tag, exc.category, attempts, 0, 0,
-                          throttled, waited)
+                self._log(tag, exc.category, attempts, 0, 0, throttled, waited)
                 return GatewayFailure(
                     category=exc.category, attempts=attempts, detail=str(exc)
                 )
             self.ledger.add(input_tokens, output_tokens)
-            self._log(request.request_tag, "ok", attempts, input_tokens, output_tokens,
-                      throttled, waited)
+            self._log(tag, "ok", attempts, input_tokens, output_tokens, throttled,
+                      waited)
             return CompletionResult(
                 text=text,
                 input_tokens=input_tokens,
@@ -497,8 +474,7 @@ class Gateway:
             )
 
         assert last_error is not None
-        self._log(request.request_tag, last_error.category, attempts, 0, 0,
-                  throttled, waited)
+        self._log(tag, last_error.category, attempts, 0, 0, throttled, waited)
         return GatewayFailure(
             category=last_error.category, attempts=attempts, detail=str(last_error)
         )

@@ -297,9 +297,11 @@ def load_judgments(path: Path, direction: str) -> MatchJudgmentSet:
         ):
             raise ValueError(f"{path}: expected header with item_id,verdict")
         for row in reader:
-            if row["verdict"] is None:
-                raise ValueError(f"{path}: line {reader.line_num} has no verdict")
-            judgments.append((row["item_id"], row["verdict"].strip().lower()))
+            verdict = (row["verdict"] or "").strip().lower()
+            if verdict not in ("yes", "no"):
+                raise ValueError(f"{path}: line {reader.line_num}: verdict must be"
+                                 f" yes or no, got {row['verdict']!r}")
+            judgments.append((row["item_id"], verdict))
     return MatchJudgmentSet(direction=direction, judgments=tuple(judgments))
 
 

@@ -11,6 +11,9 @@ import string
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
+# Sub-themes take the letters A, B, ... and their catch-all the next one.
+MAX_SUBTHEMES = len(string.ascii_uppercase) - 1
+
 
 @dataclass(frozen=True)
 class ForumSubmission:
@@ -321,7 +324,6 @@ class StudyConfig:
 
     topic_description: str
     taxonomy: ThemeTaxonomy
-    group_size: int = 5
     classification_chunk_size: int = 400
     aggregation_chunk_size: int = 400
     prevalence_chunk_size: int = 400
@@ -332,10 +334,11 @@ class StudyConfig:
     parity_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.subtheme_count < 1:
-            raise ValueError("subtheme_count must be >= 1")
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
+        if not 1 <= self.subtheme_count <= MAX_SUBTHEMES:
+            raise ValueError(
+                f"subtheme_count must be within [1, {MAX_SUBTHEMES}],"
+                f" got {self.subtheme_count}"
+            )
         if self.parity_retries < 0:
             raise ValueError("parity_retries must be >= 0")
         for name in ("classification_chunk_size", "aggregation_chunk_size",

@@ -72,3 +72,11 @@ def iter_records(path: Path) -> Iterator[Any]:
 
 def read_records(path: Path) -> list[Any]:
     return list(iter_records(path))
+
+
+def read_json(path: Path) -> Any:
+    """Parse one JSON file; a syntax error names the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None

@@ -73,12 +73,14 @@ STAGE_PREVALENCE = "prevalence"
 STAGES = (STAGE_GENERATE, STAGE_CLASSIFY, STAGE_AGGREGATE, STAGE_PREVALENCE)
 
 
-class PipelineOrderError(RuntimeError):
-    """A stage was invoked before its predecessor completed."""
+class PipelineOrderError(FileNotFoundError):
+    """A stage was invoked before its predecessors completed."""
 
-    def __init__(self, stage: str, missing: str):
+    def __init__(self, stage: str, *missing: str):
+        names = " and ".join(f"'{name}'" for name in missing)
         super().__init__(
-            f"stage '{stage}' requires completed '{missing}' output; run it first"
+            f"stage '{stage}' requires completed {names} output;"
+            f" run {'it' if len(missing) == 1 else 'them'} first"
         )
         self.stage = stage
         self.missing = missing
@@ -281,7 +283,7 @@ class PipelineRunner:
         fingerprint = _fingerprint(input_files)
         meta_path = self.paths.meta(stage)
         if meta_path.exists():
-            recorded = json.loads(meta_path.read_text(encoding="utf-8"))
+            recorded = ndjson.read_json(meta_path)
             if recorded.get("input_fingerprint") != fingerprint:
                 logger.warning(
                     "stage %s: inputs changed since last run; discarding checkpoint",
@@ -452,9 +454,7 @@ class PipelineRunner:
     # -- stage: aggregate ----------------------------------------------------
 
     def stage_aggregate(self, retry_failed: bool = False) -> StageReport:
-        if not self.paths.theme_assignments.exists():
-            raise PipelineOrderError(STAGE_AGGREGATE, STAGE_CLASSIFY)
-        theme_concerns = themed_concerns(self.paths)
+        theme_concerns = themed_concerns(self.paths, STAGE_AGGREGATE)
 
         def aggregate(category: ThemeCategory, concerns: list[Concern]) -> dict:
             return _unit_record(
@@ -508,7 +508,7 @@ class PipelineRunner:
         subtheme_sets = load_subtheme_sets(self.paths)
         if not subtheme_sets:
             raise PipelineOrderError(STAGE_PREVALENCE, STAGE_AGGREGATE)
-        theme_concerns = themed_concerns(self.paths)
+        theme_concerns = themed_concerns(self.paths, STAGE_PREVALENCE)
 
         def assigner(subthemes: SubThemeSet) -> LetterCall:
             def assign(index: int, chunk: Sequence[Concern]) -> LetterResult:
@@ -586,12 +586,17 @@ def load_concerns(path: Path) -> list[Concern]:
     return [Concern.from_dict(r) for r in ndjson.iter_records(path)]
 
 
-def themed_concerns(paths: RunPaths) -> dict[str, list[Concern]]:
+def themed_concerns(paths: RunPaths, stage: str) -> dict[str, list[Concern]]:
     """Concerns grouped by assigned theme code, in concern_id order.
 
     Concerns of a failed classification chunk have no assignment and are
-    left out.
+    left out.  Raises PipelineOrderError for *stage*, naming each of
+    generate and classify whose output is missing.
     """
+    required = ((paths.concerns, STAGE_GENERATE), (paths.theme_assignments, STAGE_CLASSIFY))
+    missing = [producer for path, producer in required if not path.exists()]
+    if missing:
+        raise PipelineOrderError(stage, *missing)
     code_by_id = {
         a["concern_id"]: a["code"] for a in ndjson.iter_records(paths.theme_assignments)
     }
@@ -606,7 +611,7 @@ def themed_concerns(paths: RunPaths) -> dict[str, list[Concern]]:
 def load_subtheme_sets(paths: RunPaths) -> list[SubThemeSet]:
     """Every theme's aggregation output, in file-name order."""
     return [
-        SubThemeSet.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        SubThemeSet.from_dict(ndjson.read_json(path))
         for path in paths.subtheme_files()
     ]
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -190,7 +189,7 @@ QuoteMap = dict[tuple[str, int], str]
 def load_quotes(path: Path) -> QuoteMap:
     """Load the human-edited quote file: a JSON list of
     {"theme": letter, "rank": int, "quote": text} objects."""
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = ndjson.read_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of quote objects")
     quotes: QuoteMap = {}

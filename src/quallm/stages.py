@@ -83,7 +83,7 @@ def _ask(
     """
     last_detail = ""
     for attempt in range(retries + 1):
-        reply = gateway.complete(gateway.request(prompt, tag))
+        reply = gateway.complete(prompt, tag)
         if isinstance(reply, GatewayFailure):
             return reply
         try:

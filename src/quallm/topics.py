@@ -10,7 +10,6 @@ TopicModelOutput is accepted.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -18,6 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
+
+from . import ndjson
 
 logger = logging.getLogger(__name__)
 
@@ -285,7 +286,7 @@ def coverage_k(
 def load_topics(path: Path) -> TopicModelOutput:
     """Load a TopicModelOutput from JSON:
     {"topics": [{"topic_id", "frequency", "terms": {term: weight}}, ...]}."""
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = ndjson.read_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("topics"), list):
         raise ValueError(f"{path}: expected an object with a 'topics' list")
     topics = []
@@ -347,18 +348,10 @@ def evaluate_aggregation(
     from .pipeline import RunPaths, load_subtheme_sets, themed_concerns
 
     paths = RunPaths(run_dir)
-    for required, stage in (
-        (paths.concerns, "generate"),
-        (paths.theme_assignments, "classify"),
-    ):
-        if not required.exists():
-            raise FileNotFoundError(
-                f"missing stage output {required.name}; run '{stage}' first"
-            )
+    theme_concerns = themed_concerns(paths, "eval")
     subtheme_sets = load_subtheme_sets(paths)
     if not subtheme_sets:
         raise FileNotFoundError("missing sub-theme files; run 'aggregate' first")
-    theme_concerns = themed_concerns(paths)
 
     per_theme: list[ThemeAlignment] = []
     pooled_pairs: list[tuple[str, str]] = []

@@ -139,7 +139,6 @@ def study(taxonomy) -> StudyConfig:
     return StudyConfig(
         topic_description="concerns about automated dispatch and pay",
         taxonomy=taxonomy,
-        group_size=5,
         classification_chunk_size=3,
         aggregation_chunk_size=4,
         prevalence_chunk_size=3,

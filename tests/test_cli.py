@@ -567,7 +567,9 @@ def test_cli_import_does_not_load_numpy():
 
 
 @pytest.mark.parametrize("setting", ["max_attempts=0", "parity_retries=-1",
-                                     "backoff_base=-1"])
+                                     "backoff_base=-1", "temperature=2.5",
+                                     "temperature=-0.1", "max_output_tokens=0",
+                                     "group_size=0", "subtheme_count=26"])
 def test_unworkable_retry_setting_exits_2_before_any_call(fixture, capsys, setting):
     assert run_ingest(fixture) == 0
     with fixture.config_path.open("a") as fh:
@@ -576,6 +578,35 @@ def test_unworkable_retry_setting_exits_2_before_any_call(fixture, capsys, setti
     assert rc == 2
     assert setting.split("=")[0] in capsys.readouterr().err
     assert not (fixture.run_dir / "llm_log.ndjson").exists()
+    assert not (fixture.run_dir / "checkpoints").exists()
+
+
+@pytest.mark.parametrize(
+    "command, missing, producer",
+    [
+        (["classify"], "concerns.ndjson", "generate"),
+        (["aggregate"], "concerns.ndjson", "generate"),
+        (["prevalence"], "concerns.ndjson", "generate"),
+        (["eval", "--metrics", "aggregation", "--min-topic-size", "1"],
+         "concerns.ndjson", "generate"),
+        (["aggregate"], "theme_assignments.ndjson", "classify"),
+        (["prevalence"], "theme_assignments.ndjson", "classify"),
+        (["eval", "--metrics", "aggregation", "--min-topic-size", "1"],
+         "theme_assignments.ndjson", "classify"),
+    ],
+    ids=["classify", "aggregate", "prevalence", "eval", "aggregate-no-themes",
+         "prevalence-no-themes", "eval-no-themes"],
+)
+def test_missing_upstream_output_exits_3(fixture, capsys, command, missing, producer):
+    run_ingest(fixture)
+    assert main(["run-all", "--config", str(fixture.config_path)]) == 0
+    (fixture.run_dir / missing).unlink()
+    log_lines = (fixture.run_dir / "llm_log.ndjson").read_text().count("\n")
+    capsys.readouterr()
+    rc = main(command + ["--config", str(fixture.config_path)])
+    assert rc == 3
+    assert f"'{producer}'" in capsys.readouterr().err
+    assert (fixture.run_dir / "llm_log.ndjson").read_text().count("\n") == log_lines
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +614,63 @@ def test_unworkable_retry_setting_exits_2_before_any_call(fixture, capsys, setti
 # ---------------------------------------------------------------------------
 
 
+def test_unparseable_taxonomy_names_the_file(fixture, capsys):
+    run_ingest(fixture)
+    text = fixture.taxonomy_path.read_text()
+    fixture.taxonomy_path.write_text(text[: len(text) // 2])
+    capsys.readouterr()
+    rc = main(["generate", "--config", str(fixture.config_path)])
+    assert rc == 2
+    assert "taxonomy.json: not valid JSON" in capsys.readouterr().err
+    assert not (fixture.run_dir / "llm_log.ndjson").exists()
+
+
+def test_unparseable_ledger_names_the_file(fixture, tmp_path, capsys):
+    ledger_file = tmp_path / "ledger.json"
+    ledger_file.write_text('{"total_input_tokens": 5,')
+    fixture.run_dir.mkdir(parents=True, exist_ok=True)
+    rc = main(["cost", "--config", str(fixture.config_path),
+               "--ledger", str(ledger_file)])
+    assert rc == 2
+    assert "ledger.json: not valid JSON" in capsys.readouterr().err
+    assert not (fixture.run_dir / "cost.md").exists()
+
+
+def test_unparseable_external_topics_is_that_themes_error(fixture, tmp_path):
+    run_ingest(fixture)
+    main(["run-all", "--config", str(fixture.config_path)])
+    topics_dir = tmp_path / "topics"
+    topics_dir.mkdir()
+    (topics_dir / "topics_A.json").write_text('{"topics": [{"topic_id": "t1"')
+    rc = main(["eval", "--config", str(fixture.config_path), "--metrics", "aggregation",
+               "--min-topic-size", "1", "--topics-dir", str(topics_dir)])
+    assert rc == 0
+    data = json.loads((fixture.run_dir / "metrics.json").read_text())
+    [mean] = [m for m in data["metrics"] if m["name"] == "distinctness_mean"]
+    per_theme = mean["details"]["per_theme"]
+    assert "topics_A.json: not valid JSON" in per_theme["A"]["error"]
+    assert per_theme["B"]["error"] == ""
+
+
+@pytest.mark.parametrize("verdict", ["", "maybe"], ids=["empty", "other-word"])
+def test_judgment_verdict_not_yes_or_no_names_file_and_line(fixture, tmp_path, capsys,
+                                                            verdict):
+    judgments = tmp_path / "judgments.csv"
+    judgments.write_text(f"item_id,verdict\na,yes\nb,{verdict}\nc,no\n")
+    fixture.run_dir.mkdir(parents=True, exist_ok=True)
+    rc = main(["eval", "--config", str(fixture.config_path), "--metrics", "factuality",
+               "--factuality-judgments", str(judgments)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "judgments.csv: line 3" in err and "yes or no" in err
+
+
 @pytest.mark.parametrize(
     "quotes, where",
     [('[{"theme": "A", "quote": "no rank here"}]', "entry 1"),
-     ('{"theme": "A", "rank": 1, "quote": "not in a list"}', "list")],
-    ids=["missing-rank", "not-a-list"],
+     ('{"theme": "A", "rank": 1, "quote": "not in a list"}', "list"),
+     ('[{"theme": "A", "rank": 1, "quo', "quotes.json: not valid JSON")],
+    ids=["missing-rank", "not-a-list", "not-json"],
 )
 def test_malformed_quotes_file_exits_2(fixture, capsys, quotes, where):
     (fixture.root / "quotes.json").write_text(quotes)

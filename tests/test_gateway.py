@@ -7,8 +7,9 @@ import threading
 
 import pytest
 
+from quallm.cli import _build_gateway
+from quallm.config import load_config
 from quallm.gateway import (
-    CompletionRequest,
     CompletionResult,
     Gateway,
     GatewayFailure,
@@ -20,34 +21,15 @@ from quallm.gateway import (
     cost_report,
     parse_retry_after,
 )
+from quallm.pipeline import RunPaths
+from quallm.stages import _ask
 
 from conftest import scripted_gateway
 
 
 def req(tag="gen:gk1", prompt="hello"):
-    return CompletionRequest(
-        messages=(("user", prompt),), model_name="demo", request_tag=tag
-    )
-
-
-# ---------------------------------------------------------------------------
-# request validation
-# ---------------------------------------------------------------------------
-
-
-def test_request_requires_messages():
-    with pytest.raises(ValueError):
-        CompletionRequest(messages=(), model_name="m")
-
-
-def test_request_first_role_must_open_conversation():
-    with pytest.raises(ValueError):
-        CompletionRequest(messages=(("assistant", "hi"),), model_name="m")
-
-
-def test_request_temperature_range():
-    with pytest.raises(ValueError):
-        CompletionRequest(messages=(("user", "x"),), model_name="m", temperature=2.5)
+    """Arguments of one ``Gateway.complete`` call."""
+    return prompt, tag
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +42,7 @@ def test_scripted_echo_single_attempt():
         [{"request_tag": "gen:gk1", "response_text": "T", "input_tokens": 10,
           "output_tokens": 2}]
     )
-    result = gateway.complete(req("gen:gk1"))
+    result = gateway.complete(*req("gen:gk1"))
     assert isinstance(result, CompletionResult)
     assert result.text == "T"
     assert result.attempts == 1
@@ -74,7 +56,7 @@ def test_throttle_once_then_success_counts_attempts():
             {"request_tag": "t", "response_text": "ok"},
         ]
     )
-    result = gateway.complete(req("t"))
+    result = gateway.complete(*req("t"))
     assert isinstance(result, CompletionResult)
     assert result.attempts == 2
     assert len(gateway.slept) == 1
@@ -83,7 +65,7 @@ def test_throttle_once_then_success_counts_attempts():
 def test_backoff_delays_nondecreasing_and_jittered():
     entries = [{"request_tag": "t", "failure": "throttled"}] * 6
     gateway = scripted_gateway(entries, retry=RetryPolicy(max_attempts=6))
-    failure = gateway.complete(req("t"))
+    failure = gateway.complete(*req("t"))
     assert isinstance(failure, GatewayFailure)
     assert failure.category == "throttled"
     assert failure.attempts == 6
@@ -102,7 +84,7 @@ def test_content_filtered_never_retried():
             {"request_tag": "t", "response_text": "never reached"},
         ]
     )
-    failure = gateway.complete(req("t"))
+    failure = gateway.complete(*req("t"))
     assert isinstance(failure, GatewayFailure)
     assert failure.category == "content_filtered"
     assert failure.attempts == 1
@@ -112,30 +94,32 @@ def test_content_filtered_never_retried():
 def test_network_errors_retried_then_reported():
     entries = [{"request_tag": "t", "failure": "network"}] * 6
     gateway = scripted_gateway(entries)
-    failure = gateway.complete(req("t"))
+    failure = gateway.complete(*req("t"))
     assert failure.category == "network"
     assert failure.attempts == 6
 
 
 def test_unscripted_tag_is_malformed_failure():
     gateway = scripted_gateway([])
-    failure = gateway.complete(req("nope"))
+    failure = gateway.complete(*req("nope"))
     assert isinstance(failure, GatewayFailure)
     assert failure.category == "malformed_output"
 
 
 def test_unscripted_tag_with_default_text():
     gateway = scripted_gateway([], default_text="No concerns")
-    result = gateway.complete(req("nope"))
+    result = gateway.complete(*req("nope"))
     assert isinstance(result, CompletionResult)
     assert result.text == "No concerns"
+    # Estimated like a scripted reply: ceil(len("hello")/4), ceil(11/4).
+    assert (result.input_tokens, result.output_tokens) == (2, 3)
 
 
 def test_mock_token_counts_default_to_quarter_chars():
     gateway = scripted_gateway([{"request_tag": "t", "response_text": "x" * 10}])
-    result = gateway.complete(req("t", prompt="y" * 41))
+    result = gateway.complete(*req("t", prompt="y" * 41))
     assert result.output_tokens == 3  # ceil(10/4)
-    assert result.input_tokens >= 11  # ceil(prompt chars/4), message tuple overhead aside
+    assert result.input_tokens == 11  # ceil(41/4): the prompt text alone
 
 
 def test_mock_determinism_bit_identical_runs():
@@ -145,7 +129,7 @@ def test_mock_determinism_bit_identical_runs():
 
     def run():
         gateway = scripted_gateway(list(entries))
-        outputs = [gateway.complete(req(f"u:{i}")).text for i in range(20)]
+        outputs = [gateway.complete(*req(f"u:{i}")).text for i in range(20)]
         return outputs, gateway.ledger.snapshot()
 
     assert run() == run()
@@ -163,7 +147,7 @@ def test_mock_outputs_and_ledger_identical_across_concurrency():
         gateway = scripted_gateway(list(entries))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                lambda i: (i, gateway.complete(req(f"u:{i}")).text), range(40)
+                lambda i: (i, gateway.complete(*req(f"u:{i}")).text), range(40)
             ))
         return sorted(results), gateway.ledger.snapshot()
 
@@ -176,7 +160,7 @@ def test_hintless_throttles_spend_attempts_and_are_logged(tmp_path):
     log = tmp_path / "llm_log.ndjson"
     entries = [{"request_tag": "t", "failure": "throttled"}] * 6
     gateway = scripted_gateway(entries, run_log_path=log)
-    failure = gateway.complete(req("t"))
+    failure = gateway.complete(*req("t"))
     assert failure.category == "throttled"
     assert failure.attempts == 6
     (line,) = [json.loads(l) for l in log.read_text().splitlines()]
@@ -257,7 +241,7 @@ class BucketBackend:
         self.sends: list[float] = []
         self.hints: list[tuple[float, float]] = []  # (issued at, gate opens)
 
-    def send(self, request):
+    def send(self, prompt, tag):
         with self.lock:
             now = self.time.now
             self.sends.append(now)
@@ -289,7 +273,7 @@ def test_workers_share_one_gate(workers, tmp_path):
     def worker(w):
         try:
             for i in range(calls_each):
-                results.append(gateway.complete(req(f"u:{w}:{i}")))
+                results.append(gateway.complete(*req(f"u:{w}:{i}")))
         finally:
             time_.done()
 
@@ -326,7 +310,7 @@ class Always429:
         self.hint = hint
         self.calls = 0
 
-    def send(self, request):
+    def send(self, prompt, tag):
         self.calls += 1
         assert self.calls < 10_000, "the gateway retries without end"
         raise ThrottledError("429", retry_after=self.hint)
@@ -340,7 +324,7 @@ def test_endless_hinted_throttle_fails_within_budget(hint, tmp_path):
     log = tmp_path / "llm_log.ndjson"
     gateway = Gateway(backend, retry=policy, sleep=time_.sleep, clock=time_.clock,
                       run_log_path=log, seed=0)
-    failure = gateway.complete(req("t"))
+    failure = gateway.complete(*req("t"))
     assert isinstance(failure, GatewayFailure)
     assert failure.category == "throttled"
     assert failure.attempts == 3
@@ -361,7 +345,7 @@ def test_zero_backoff_absorbs_no_zero_hint():
     backend = Always429(0.0)
     gateway = Gateway(backend, retry=RetryPolicy(max_attempts=3, base_delay=0.0),
                       sleep=time_.sleep, clock=time_.clock, seed=0)
-    failure = gateway.complete(req("t"))
+    failure = gateway.complete(*req("t"))
     assert failure.category == "throttled"
     assert failure.attempts == backend.calls == 3
 
@@ -468,8 +452,8 @@ def test_run_log_records_every_outcome(tmp_path):
         run_log_path=log,
         sleep=lambda _: None,
     )
-    gateway.complete(req("a"))
-    gateway.complete(req("b"))
+    gateway.complete(*req("a"))
+    gateway.complete(*req("b"))
     lines = [json.loads(l) for l in log.read_text().splitlines()]
     by_tag = {l["request_tag"]: l for l in lines}
     assert by_tag["a"]["outcome"] == "ok"
@@ -485,10 +469,11 @@ def test_run_log_records_every_outcome(tmp_path):
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):
     script: list = []
+    received: list = []  # (headers, parsed JSON body) of every request
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        self.rfile.read(length)
+        self.received.append((dict(self.headers), json.loads(self.rfile.read(length))))
         status, payload, *headers = (
             self.script.pop(0) if self.script else (200, _ok_payload("default"))
         )
@@ -512,9 +497,14 @@ def _ok_payload(text):
     }
 
 
+def live(url):
+    return HttpBackend(url, "demo", 0.2, 4096)
+
+
 @pytest.fixture
 def stub_server(monkeypatch):
     monkeypatch.setenv("QUALLM_API_KEY", "test-key")
+    _StubHandler.received = []
     server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -526,20 +516,61 @@ def stub_server(monkeypatch):
 def test_http_backend_success(stub_server):
     server, url = stub_server
     _StubHandler.script = [(200, _ok_payload("live reply"))]
-    gateway = Gateway(HttpBackend(url), sleep=lambda _: None)
-    result = gateway.complete(req("live:1"))
+    gateway = Gateway(live(url), sleep=lambda _: None)
+    result = gateway.complete(*req("live:1"))
     assert isinstance(result, CompletionResult)
     assert result.text == "live reply"
     assert result.input_tokens == 12
     assert result.output_tokens == 5
 
 
+@pytest.mark.parametrize(
+    "usage, tokens",
+    [
+        (None, (3, 3)),
+        ({"prompt_tokens": None, "completion_tokens": 5}, (3, 5)),
+        ({"completion_tokens": 5}, (3, 5)),
+        ({"prompt_tokens": -1, "completion_tokens": 5}, None),
+        ({"prompt_tokens": 12, "completion_tokens": "5"}, None),
+        ({"prompt_tokens": 12.5, "completion_tokens": 5}, None),
+        ({"prompt_tokens": True, "completion_tokens": 5}, None),
+        ([12, 5], None),
+    ],
+    ids=["null-usage", "null-count", "absent-count", "negative", "string", "float",
+         "bool", "not-object"],
+)
+def test_http_backend_bad_usage_fails_the_call_cleanly(stub_server, tmp_path, usage,
+                                                        tokens):
+    server, url = stub_server
+    payload = _ok_payload("live reply")
+    payload["usage"] = usage
+    _StubHandler.script = [(200, payload)]
+    log = tmp_path / "llm_log.ndjson"
+    gateway = Gateway(live(url), run_log_path=log, sleep=lambda _: None)
+    result = gateway.complete("prompt text", "live:usage")
+    (line,) = [json.loads(l) for l in log.read_text().splitlines()]
+    if tokens is None:
+        # A count that is not a non-negative integer is a malformed reply.
+        assert isinstance(result, GatewayFailure)
+        assert result.category == "malformed_output"
+        assert result.attempts == 1
+        assert line["outcome"] == "malformed_output"
+        assert gateway.ledger.snapshot() == (0, 0)
+    else:
+        # An absent count is estimated from the prompt or the reply text.
+        assert isinstance(result, CompletionResult)
+        assert (result.input_tokens, result.output_tokens) == tokens
+        assert line["outcome"] == "ok"
+        assert (line["input_tokens"], line["output_tokens"]) == tokens
+        assert gateway.ledger.snapshot() == tokens
+
+
 def test_http_backend_throttle_then_success(stub_server):
     server, url = stub_server
     _StubHandler.script = [(429, {"error": "slow down"}),
                            (200, _ok_payload("after retry"))]
-    gateway = Gateway(HttpBackend(url), sleep=lambda _: None)
-    result = gateway.complete(req("live:2"))
+    gateway = Gateway(live(url), sleep=lambda _: None)
+    result = gateway.complete(*req("live:2"))
     assert isinstance(result, CompletionResult)
     assert result.attempts == 2
 
@@ -551,8 +582,8 @@ def test_http_backend_hinted_throttle_waits_at_gate(stub_server):
         (200, _ok_payload("after the hint")),
     ]
     time_ = VirtualTime(1)
-    gateway = Gateway(HttpBackend(url), sleep=time_.sleep, clock=time_.clock)
-    result = gateway.complete(req("live:5"))
+    gateway = Gateway(live(url), sleep=time_.sleep, clock=time_.clock)
+    result = gateway.complete(*req("live:5"))
     assert isinstance(result, CompletionResult)
     assert result.text == "after the hint"
     assert result.attempts == 1
@@ -564,8 +595,8 @@ def test_http_backend_content_filter(stub_server):
     _StubHandler.script = [
         (400, {"error": {"code": "content_filter", "message": "blocked"}})
     ]
-    gateway = Gateway(HttpBackend(url), sleep=lambda _: None)
-    failure = gateway.complete(req("live:3"))
+    gateway = Gateway(live(url), sleep=lambda _: None)
+    failure = gateway.complete(*req("live:3"))
     assert isinstance(failure, GatewayFailure)
     assert failure.category == "content_filtered"
     assert failure.attempts == 1
@@ -574,11 +605,11 @@ def test_http_backend_content_filter(stub_server):
 def test_http_backend_refused_connection_is_network(monkeypatch):
     monkeypatch.setenv("QUALLM_API_KEY", "k")
     gateway = Gateway(
-        HttpBackend("http://127.0.0.1:1/never"),
+        live("http://127.0.0.1:1/never"),
         retry=RetryPolicy(max_attempts=2),
         sleep=lambda _: None,
     )
-    failure = gateway.complete(req("live:4"))
+    failure = gateway.complete(*req("live:4"))
     assert failure.category == "network"
     assert failure.attempts == 2
 
@@ -586,4 +617,26 @@ def test_http_backend_refused_connection_is_network(monkeypatch):
 def test_http_backend_requires_credential(monkeypatch):
     monkeypatch.delenv("QUALLM_API_KEY", raising=False)
     with pytest.raises(ValueError):
-        HttpBackend("http://example.invalid")
+        live("http://example.invalid")
+
+
+def test_http_backend_wire_format(stub_server, tmp_path):
+    server, url = stub_server
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"run_dir={tmp_path / 'run'}\nbackend=live\nendpoint={url}\n"
+        "model=example-model-7\ntemperature=0.7\nmax_output_tokens=321\n"
+    )
+    run_config = load_config(config)
+    gateway = _build_gateway(run_config, RunPaths(run_config.run_dir))
+    _StubHandler.script = [(200, _ok_payload("live reply"))]
+    assert _ask(gateway, "the prompt", "gen:gk1", lambda text: text, 0) == "live reply"
+    ((headers, body),) = _StubHandler.received
+    assert json.dumps(body) == json.dumps({
+        "model": "example-model-7",
+        "messages": [{"role": "user", "content": "the prompt"}],
+        "temperature": 0.7,
+        "max_tokens": 321,
+    })
+    assert headers["Authorization"] == "Bearer test-key"
+    assert headers["api-key"] == "test-key"
