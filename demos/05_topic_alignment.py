@@ -36,7 +36,7 @@ PLANTED = [
 
 def main() -> None:
     corpus = [text for text, size in PLANTED for _ in range(size)]
-    params = TopicParams(min_topic_size=3, seed=0)
+    params = TopicParams(min_topic_size=3)
     model = extract_topics(corpus, params)
     print("Extracted topics (rank, size, dominant terms):")
     for topic in model.topics:
@@ -71,9 +71,7 @@ def main() -> None:
     ])
     quallm(["run-all", "--config", str(fixture.config_path)])
 
-    evaluation = evaluate_aggregation(
-        fixture.run_dir, TopicParams(min_topic_size=1, seed=0)
-    )
+    evaluation = evaluate_aggregation(fixture.run_dir, TopicParams(min_topic_size=1))
     print(f"\nthemes evaluated: {[t.theme for t in evaluation.per_theme]}")
     print(f"mean distinctness:   {evaluation.mean_distinctness:.2f}")
     print(f"pooled distinctness: {evaluation.pooled_distinctness:.2f}")

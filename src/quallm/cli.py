@@ -5,8 +5,9 @@ for human steps: taxonomy authoring after generation, quote selection
 after aggregation), plus reporting and evaluation commands and a
 ``run-all`` convenience for mock/test runs.
 
-Exit codes: 0 success, 2 input/config error, 3 pipeline-order error,
-4 backend exhaustion (a stage finished with failed units).
+Exit codes: 0 success, 2 input/config error, 3 a prerequisite output is
+missing (the message names the stage to run), 4 backend exhaustion (a
+stage finished with failed units).
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .ingest import (
     write_groups,
 )
 from .pipeline import (
+    STAGE_CLASSIFY,
+    STAGE_GENERATE,
     STAGES,
     PipelineOrderError,
     PipelineRunner,
@@ -78,9 +81,7 @@ def _build_gateway(config: RunConfig, paths: RunPaths) -> Gateway:
     return Gateway(backend, retry=retry, run_log_path=paths.llm_log, seed=config.seed)
 
 
-def _runner(config: RunConfig) -> PipelineRunner:
-    assert config.run_dir is not None
-    paths = RunPaths(config.run_dir)
+def _runner(config: RunConfig, paths: RunPaths) -> PipelineRunner:
     paths.run_dir.mkdir(parents=True, exist_ok=True)
     return PipelineRunner(
         paths,
@@ -118,7 +119,7 @@ def _stage_exit(reports: Sequence[StageReport]) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _load(args)
+    config, paths = _load(args)
     for label, path in (("submissions", args.submissions), ("comments", args.comments)):
         if not Path(path).exists():
             raise CliError(f"input not found: {label} file {path}", EXIT_INPUT)
@@ -129,8 +130,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     retained, dropped = filter_short(threads.documents, config.min_chars)
     groups = group_batches(retained, config.group_size)
 
-    assert config.run_dir is not None
-    paths = RunPaths(config.run_dir)
     paths.run_dir.mkdir(parents=True, exist_ok=True)
     write_groups(paths.groups, groups)
 
@@ -146,8 +145,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _run_stages(args: argparse.Namespace, stage_names: Sequence[str]) -> int:
-    config = _load(args)
-    runner = _runner(config)
+    runner = _runner(*_load(args))
     reports = []
     for name in stage_names:
         report = runner.run_stage(name)
@@ -157,8 +155,7 @@ def _run_stages(args: argparse.Namespace, stage_names: Sequence[str]) -> int:
 
 
 def cmd_retry_failed(args: argparse.Namespace) -> int:
-    config = _load(args)
-    runner = _runner(config)
+    runner = _runner(*_load(args))
 
     before: dict[str, int] = {}
     for stage in STAGES:
@@ -177,13 +174,9 @@ def cmd_retry_failed(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    config = _load(args)
-    assert config.run_dir is not None
-    paths = RunPaths(config.run_dir)
+    config, paths = _load(args)
     if not paths.theme_assignments.exists():
-        raise CliError(
-            "missing theme_assignments.ndjson; run 'classify' first", EXIT_ORDER
-        )
+        raise PipelineOrderError("report", STAGE_CLASSIFY)
     taxonomy = config.load_taxonomy()
     theme_assignments = load_theme_assignments(paths.theme_assignments)
 
@@ -198,7 +191,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         quotes = report_mod.load_quotes(config.quotes)
 
     written = report_mod.write_reports(
-        paths.run_dir, taxonomy, theme_assignments, subtheme_sets,
+        paths, taxonomy, theme_assignments, subtheme_sets,
         subtheme_assignments, quotes,
     )
     for path in written:
@@ -209,9 +202,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _ledger_from_log(paths: RunPaths, config: RunConfig) -> TokenLedger:
     ledger = TokenLedger(config.input_rate, config.output_rate)
     if not paths.llm_log.exists():
-        raise CliError(
-            "no llm_log.ndjson in the run directory and no --ledger given", EXIT_ORDER
-        )
+        raise PipelineOrderError("cost", STAGE_GENERATE)
     # Every successful call was billed: parity re-asks reuse their tag and
     # re-executed units repeat theirs, so no line supersedes another.
     for record in ndjson.iter_records(paths.llm_log):
@@ -221,9 +212,7 @@ def _ledger_from_log(paths: RunPaths, config: RunConfig) -> TokenLedger:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    config = _load(args)
-    assert config.run_dir is not None
-    paths = RunPaths(config.run_dir)
+    config, paths = _load(args)
     if args.ledger:
         data = ndjson.read_json(Path(args.ledger))
         try:
@@ -238,16 +227,14 @@ def cmd_cost(args: argparse.Namespace) -> int:
     else:
         ledger = _ledger_from_log(paths, config)
     breakdown = cost_report(ledger)
-    path = report_mod.write_cost_report(paths.run_dir, breakdown)
+    path = report_mod.write_cost_report(paths, breakdown)
     print(report_mod.render_cost_table(breakdown), end="")
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _load(args)
-    assert config.run_dir is not None
-    paths = RunPaths(config.run_dir)
+    config, paths = _load(args)
     paths.run_dir.mkdir(parents=True, exist_ok=True)
 
     requested = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -258,17 +245,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     reports: list[metrics_mod.MetricReport] = []
     for metric in requested:
-        try:
-            reports.extend(_evaluate_metric(metric, args, config, paths))
-        except FileNotFoundError as exc:
-            raise CliError(str(exc), EXIT_ORDER) from exc
+        reports.extend(_evaluate_metric(metric, args, paths))
 
-    metrics_path = paths.run_dir / "metrics.json"
-    metrics_mod.write_metrics(metrics_path, reports)
-    ndjson.write_text(
-        paths.run_dir / "metrics.md", metrics_mod.render_metrics_markdown(reports)
-    )
-    print(metrics_path)
+    metrics_mod.write_metrics(paths.metrics, reports)
+    ndjson.write_text(paths.metrics_markdown,
+                      metrics_mod.render_metrics_markdown(reports))
+    print(paths.metrics)
     return EXIT_OK
 
 
@@ -297,7 +279,7 @@ _MATCH_METRICS = {
 
 
 def _evaluate_metric(
-    metric: str, args: argparse.Namespace, config: RunConfig, paths: RunPaths
+    metric: str, args: argparse.Namespace, paths: RunPaths
 ) -> list[metrics_mod.MetricReport]:
     if metric in _MATCH_METRICS:
         flag, direction, ratio = _MATCH_METRICS[metric]
@@ -362,7 +344,6 @@ def _evaluate_metric(
     # aggregation alignment
     params = topics_mod.TopicParams(
         min_topic_size=args.min_topic_size,
-        seed=config.seed,
         similarity_threshold=args.similarity_threshold,
     )
     evaluation = topics_mod.evaluate_aggregation(
@@ -415,12 +396,14 @@ def _evaluate_metric(
 # ---------------------------------------------------------------------------
 
 
-def _load(args: argparse.Namespace) -> RunConfig:
+def _load(args: argparse.Namespace) -> tuple[RunConfig, RunPaths]:
     override = Path(args.run_dir) if getattr(args, "run_dir", None) else None
     try:
-        return load_config(Path(args.config), run_dir_override=override)
+        config = load_config(Path(args.config), run_dir_override=override)
     except (FileNotFoundError, ValueError) as exc:
         raise CliError(str(exc), EXIT_INPUT) from exc
+    assert config.run_dir is not None
+    return config, RunPaths(config.run_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:

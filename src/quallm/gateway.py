@@ -253,6 +253,8 @@ class HttpBackend:
             if choice.get("finish_reason") == "content_filter":
                 raise ContentFilteredError("finish_reason=content_filter")
             text = choice["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"message content must be a string, got {text!r}")
             # An absent or null usage block or count means the provider gave none.
             usage = data.get("usage") or {}
             input_tokens = _usage_count(usage.get("prompt_tokens"))

@@ -1,6 +1,7 @@
 """Checkpointed execution of the four prompting stages over a run directory.
 
-Layout under the run directory:
+Layout under the run directory (``RunPaths`` is the only code that
+builds these paths):
 
     groups.ndjson                  ingest output (batch groups)
     concerns.ndjson                generation output, sorted by concern_id
@@ -9,9 +10,20 @@ Layout under the run directory:
                                    that aggregated in the latest run
     subtheme_assignments.ndjson    prevalence output
     checkpoints/<stage>.ndjson     per-unit progress (append-only)
+    checkpoints/<stage>.quarantine.ndjson
+                                   corrupt checkpoint lines, set aside
     checkpoints/<stage>.meta.json  fingerprint of the stage's inputs
     summaries/<stage>.json         deterministic stage summary
     llm_log.ndjson                 one line per backend call
+    report.md                      theme report (``report``)
+    distribution.csv               theme distribution table (``report``)
+    theme_<L>.csv                  prevalence table of each theme with a
+                                   sub-theme set (``report``)
+    cost.md                        token cost table (``cost``)
+    metrics.json, metrics.md       evaluation metrics (``eval``)
+
+A command run before the stage that writes its input raises
+``PipelineOrderError`` naming that stage.
 
 Units (groups, chunks, themes) checkpoint as they complete; a resumed
 run skips completed units, and a finished stage re-invocation performs
@@ -74,35 +86,31 @@ STAGES = (STAGE_GENERATE, STAGE_CLASSIFY, STAGE_AGGREGATE, STAGE_PREVALENCE)
 
 
 class PipelineOrderError(FileNotFoundError):
-    """A stage was invoked before its predecessors completed."""
+    """A command was invoked before the commands that write its input."""
 
-    def __init__(self, stage: str, *missing: str):
+    def __init__(self, command: str, *missing: str):
         names = " and ".join(f"'{name}'" for name in missing)
         super().__init__(
-            f"stage '{stage}' requires completed {names} output;"
+            f"'{command}' requires completed {names} output;"
             f" run {'it' if len(missing) == 1 else 'them'} first"
         )
-        self.stage = stage
-        self.missing = missing
 
 
 class RunPaths:
     """All file locations derived from one run directory."""
 
     def __init__(self, run_dir: Path):
-        self.run_dir = Path(run_dir)
-
-    @property
-    def groups(self) -> Path:
-        return self.run_dir / "groups.ndjson"
-
-    @property
-    def concerns(self) -> Path:
-        return self.run_dir / "concerns.ndjson"
-
-    @property
-    def theme_assignments(self) -> Path:
-        return self.run_dir / "theme_assignments.ndjson"
+        self.run_dir = run_dir = Path(run_dir)
+        self.groups = run_dir / "groups.ndjson"
+        self.concerns = run_dir / "concerns.ndjson"
+        self.theme_assignments = run_dir / "theme_assignments.ndjson"
+        self.subtheme_assignments = run_dir / "subtheme_assignments.ndjson"
+        self.llm_log = run_dir / "llm_log.ndjson"
+        self.report = run_dir / "report.md"
+        self.distribution = run_dir / "distribution.csv"
+        self.cost = run_dir / "cost.md"
+        self.metrics = run_dir / "metrics.json"
+        self.metrics_markdown = run_dir / "metrics.md"
 
     def subthemes(self, theme: str) -> Path:
         return self.run_dir / f"subthemes_{theme}.json"
@@ -110,13 +118,11 @@ class RunPaths:
     def subtheme_files(self) -> list[Path]:
         return sorted(self.run_dir.glob("subthemes_*.json"))
 
-    @property
-    def subtheme_assignments(self) -> Path:
-        return self.run_dir / "subtheme_assignments.ndjson"
+    def theme_table(self, theme: str) -> Path:
+        return self.run_dir / f"theme_{theme}.csv"
 
-    @property
-    def llm_log(self) -> Path:
-        return self.run_dir / "llm_log.ndjson"
+    def theme_table_files(self) -> list[Path]:
+        return sorted(self.run_dir.glob("theme_*.csv"))
 
     def checkpoint(self, stage: str) -> Path:
         return self.run_dir / "checkpoints" / f"{stage}.ndjson"
@@ -201,13 +207,10 @@ T = TypeVar("T")
 
 
 def _unit_record(
-    key: str,
-    result: Union[T, GatewayFailure],
-    payload: Callable[[T], dict],
-    failed_payload: dict,
+    key: str, result: Union[T, GatewayFailure], payload: Callable[[T], dict]
 ) -> dict:
     """Checkpoint line of one unit: ``{key, status: "ok", payload}`` or
-    ``{key, status: "failed", category, detail, attempts, payload}``."""
+    ``{key, status: "failed", category, detail, attempts}``."""
     if isinstance(result, GatewayFailure):
         return {
             "key": key,
@@ -215,7 +218,6 @@ def _unit_record(
             "category": result.category,
             "detail": result.detail,
             "attempts": result.attempts,
-            "payload": failed_payload,
         }
     return {"key": key, "status": "ok", "payload": payload(result)}
 
@@ -364,21 +366,20 @@ class PipelineRunner:
         entries, report = self._run_units(stage, units, input_files, retry_failed)
 
         assignments: list[dict] = []
-        failed_concerns = 0
         remapped = 0
         for entry in entries:
-            payload = entry["payload"]
             if entry["status"] == "ok":
-                assignments.extend(payload["assignments"])
-                remapped += payload.get("remapped", 0)
-            else:
-                failed_concerns += len(payload.get("concern_ids", []))
+                assignments.extend(entry["payload"]["assignments"])
+                remapped += entry["payload"].get("remapped", 0)
         assignments.sort(key=lambda a: a["concern_id"])
         ndjson.write_records(output, assignments)
 
+        # Each concern lies in one chunk and an ok chunk assigns all of its
+        # concerns (the parity check), so the rest lie in failed chunks.
+        concerns_in = sum(len(concerns) for _, concerns, _ in themes)
         report.extras = {
             "assigned": len(assignments),
-            "failed_concerns": failed_concerns,
+            "failed_concerns": concerns_in - len(assignments),
             "remapped_to_catch_all": remapped,
         }
         return report
@@ -401,7 +402,6 @@ class PipelineRunner:
                 group.group_key,
                 generate_for_group(self.gateway, group, self.study, self.template_dir),
                 lambda concerns: {"concerns": [c.to_dict() for c in concerns]},
-                {},
             )
 
         units = [(g.group_key, functools.partial(generate, g)) for g in groups]
@@ -462,7 +462,6 @@ class PipelineRunner:
                 run_aggregation(self.gateway, category, concerns, self.study,
                                 self.template_dir),
                 lambda subthemes: {"subthemes": subthemes.to_dict()},
-                {},
             )
 
         units = [
@@ -505,9 +504,7 @@ class PipelineRunner:
     # -- stage: prevalence ----------------------------------------------------
 
     def stage_prevalence(self, retry_failed: bool = False) -> StageReport:
-        subtheme_sets = load_subtheme_sets(self.paths)
-        if not subtheme_sets:
-            raise PipelineOrderError(STAGE_PREVALENCE, STAGE_AGGREGATE)
+        subtheme_sets = load_subtheme_sets(self.paths, STAGE_PREVALENCE)
         theme_concerns = themed_concerns(self.paths, STAGE_PREVALENCE)
 
         def assigner(subthemes: SubThemeSet) -> LetterCall:
@@ -570,8 +567,7 @@ def _letter_unit(
             assignments.append(record)
         return {"assignments": assignments, "remapped": remapped}
 
-    return _unit_record(key, call(index, chunk), payload,
-                        {"concern_ids": [c.concern_id for c in chunk]})
+    return _unit_record(key, call(index, chunk), payload)
 
 
 def _count_values(records: Iterable[dict], field_name: str) -> dict[str, int]:
@@ -608,12 +604,15 @@ def themed_concerns(paths: RunPaths, stage: str) -> dict[str, list[Concern]]:
     return out
 
 
-def load_subtheme_sets(paths: RunPaths) -> list[SubThemeSet]:
-    """Every theme's aggregation output, in file-name order."""
-    return [
-        SubThemeSet.from_dict(ndjson.read_json(path))
-        for path in paths.subtheme_files()
-    ]
+def load_subtheme_sets(paths: RunPaths, stage: Optional[str] = None) -> list[SubThemeSet]:
+    """Every theme's aggregation output, in file-name order.
+
+    With *stage* given, an empty result raises PipelineOrderError for it.
+    """
+    files = paths.subtheme_files()
+    if stage is not None and not files:
+        raise PipelineOrderError(stage, STAGE_AGGREGATE)
+    return [SubThemeSet.from_dict(ndjson.read_json(path)) for path in files]
 
 
 def load_theme_assignments(path: Path) -> list[ThemeAssignment]:

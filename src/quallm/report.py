@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 from . import ndjson
 from .gateway import CostBreakdown
 from .models import SubThemeAssignment, SubThemeSet, ThemeAssignment, ThemeTaxonomy
+from .pipeline import RunPaths
 
 logger = logging.getLogger(__name__)
 
@@ -295,7 +296,7 @@ def render_cost_table(cost: CostBreakdown) -> str:
 
 
 def write_reports(
-    run_dir: Path,
+    paths: RunPaths,
     taxonomy: ThemeTaxonomy,
     theme_assignments: Sequence[ThemeAssignment],
     subtheme_sets: Sequence[SubThemeSet],
@@ -310,9 +311,8 @@ def write_reports(
     sections = ["# Theme report", "", "## Theme distribution", ""]
     sections.append(render_distribution_markdown(dist, taxonomy))
 
-    dist_csv = run_dir / "distribution.csv"
-    ndjson.write_text(dist_csv, render_distribution_csv(dist, taxonomy))
-    written.append(dist_csv)
+    ndjson.write_text(paths.distribution, render_distribution_csv(dist, taxonomy))
+    written.append(paths.distribution)
 
     by_theme: dict[str, list[SubThemeAssignment]] = {}
     for assignment in subtheme_assignments:
@@ -324,21 +324,19 @@ def write_reports(
         sections.append(f"## {subthemes.theme}. {names.get(subthemes.theme, '')}")
         sections.append("")
         sections.append(render_theme_table_markdown(table, quotes))
-        csv_path = run_dir / f"theme_{subthemes.theme}.csv"
+        csv_path = paths.theme_table(subthemes.theme)
         ndjson.write_text(csv_path, render_theme_table_csv(table, quotes))
         written.append(csv_path)
     # A theme whose sub-theme set is gone must not keep its old table.
-    for stale in run_dir.glob("theme_*.csv"):
+    for stale in paths.theme_table_files():
         if stale not in written:
             stale.unlink()
 
-    report_path = run_dir / "report.md"
-    ndjson.write_text(report_path, "\n".join(sections))
-    written.insert(0, report_path)
+    ndjson.write_text(paths.report, "\n".join(sections))
+    written.insert(0, paths.report)
     return written
 
 
-def write_cost_report(run_dir: Path, cost: CostBreakdown) -> Path:
-    path = run_dir / "cost.md"
-    ndjson.write_text(path, "# Token usage and cost\n\n" + render_cost_table(cost))
-    return path
+def write_cost_report(paths: RunPaths, cost: CostBreakdown) -> Path:
+    ndjson.write_text(paths.cost, "# Token usage and cost\n\n" + render_cost_table(cost))
+    return paths.cost

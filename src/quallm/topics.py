@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from . import ndjson
+from .pipeline import RunPaths, load_subtheme_sets, themed_concerns
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +42,6 @@ _WORD_RE = re.compile(r"[a-z0-9']+")
 class TopicParams:
     min_topic_size: int = 100
     ngram_range: tuple[int, int] = (1, 2)
-    seed: int = 0
     similarity_threshold: float = 0.3
 
     def __post_init__(self) -> None:
@@ -73,7 +73,6 @@ class Topic:
 @dataclass(frozen=True)
 class TopicModelOutput:
     topics: tuple[Topic, ...]  # ordered by frequency rank
-    seed: int = 0
 
     def __post_init__(self) -> None:
         freqs = [t.frequency for t in self.topics]
@@ -119,10 +118,10 @@ def cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
 def extract_topics(corpus: Sequence[str], params: TopicParams) -> TopicModelOutput:
     """Cluster documents greedily by cosine similarity to running centroids.
 
-    Deterministic for a fixed seed and input order: documents are visited
-    in input order and joined to the first best cluster at or above the
-    similarity threshold. Clusters smaller than min_topic_size are
-    discarded; survivors are ranked by size (ties keep creation order).
+    Deterministic: documents are visited in input order and joined to
+    the first best cluster at or above the similarity threshold. Clusters
+    smaller than min_topic_size are discarded; survivors are ranked by
+    size (ties keep creation order).
 
     An inverted index (term -> ids of the centroids holding it) names
     the centroids a document shares terms with, and only those are
@@ -201,7 +200,7 @@ def extract_topics(corpus: Sequence[str], params: TopicParams) -> TopicModelOutp
         total = sum(centroid.values())
         terms = {term: count / total for term, count in centroid.items()}
         topics.append(Topic(topic_id=f"t{rank}", frequency=size, terms=terms))
-    return TopicModelOutput(topics=tuple(topics), seed=params.seed)
+    return TopicModelOutput(topics=tuple(topics))
 
 
 @dataclass(frozen=True)
@@ -301,7 +300,7 @@ def load_topics(path: Path) -> TopicModelOutput:
         if total > 0:
             raw_terms = {k: v / total for k, v in raw_terms.items()}
         topics.append(Topic(topic_id=topic_id, frequency=frequency, terms=raw_terms))
-    return TopicModelOutput(topics=tuple(topics), seed=int(data.get("seed", 0)))
+    return TopicModelOutput(topics=tuple(topics))
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +344,9 @@ def evaluate_aggregation(
     reported, since either reading of "across all the sub-themes" is
     defensible.
     """
-    from .pipeline import RunPaths, load_subtheme_sets, themed_concerns
-
     paths = RunPaths(run_dir)
     theme_concerns = themed_concerns(paths, "eval")
-    subtheme_sets = load_subtheme_sets(paths)
-    if not subtheme_sets:
-        raise FileNotFoundError("missing sub-theme files; run 'aggregate' first")
+    subtheme_sets = load_subtheme_sets(paths, "eval")
 
     per_theme: list[ThemeAlignment] = []
     pooled_pairs: list[tuple[str, str]] = []

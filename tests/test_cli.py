@@ -593,20 +593,36 @@ def test_unworkable_retry_setting_exits_2_before_any_call(fixture, capsys, setti
         (["prevalence"], "theme_assignments.ndjson", "classify"),
         (["eval", "--metrics", "aggregation", "--min-topic-size", "1"],
          "theme_assignments.ndjson", "classify"),
+        (["report"], "theme_assignments.ndjson", "classify"),
+        (["cost"], "llm_log.ndjson", "generate"),
+        (["prevalence"], "subthemes_*.json", "aggregate"),
+        (["eval", "--metrics", "aggregation", "--min-topic-size", "1"],
+         "subthemes_*.json", "aggregate"),
     ],
     ids=["classify", "aggregate", "prevalence", "eval", "aggregate-no-themes",
-         "prevalence-no-themes", "eval-no-themes"],
+         "prevalence-no-themes", "eval-no-themes", "report-no-themes", "cost-no-log",
+         "prevalence-no-subthemes", "eval-no-subthemes"],
 )
 def test_missing_upstream_output_exits_3(fixture, capsys, command, missing, producer):
     run_ingest(fixture)
     assert main(["run-all", "--config", str(fixture.config_path)]) == 0
-    (fixture.run_dir / missing).unlink()
-    log_lines = (fixture.run_dir / "llm_log.ndjson").read_text().count("\n")
+    removed = list(fixture.run_dir.glob(missing))
+    assert removed
+    for path in removed:
+        path.unlink()
+    log = fixture.run_dir / "llm_log.ndjson"
+
+    def log_lines():
+        return log.read_text().count("\n") if log.exists() else 0
+
+    lines_before = log_lines()
+    files_before = sorted(fixture.run_dir.rglob("*"))
     capsys.readouterr()
     rc = main(command + ["--config", str(fixture.config_path)])
     assert rc == 3
     assert f"'{producer}'" in capsys.readouterr().err
-    assert (fixture.run_dir / "llm_log.ndjson").read_text().count("\n") == log_lines
+    assert log_lines() == lines_before
+    assert sorted(fixture.run_dir.rglob("*")) == files_before
 
 
 # ---------------------------------------------------------------------------

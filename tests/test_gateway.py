@@ -525,24 +525,30 @@ def test_http_backend_success(stub_server):
 
 
 @pytest.mark.parametrize(
-    "usage, tokens",
+    "content, usage, tokens",
     [
-        (None, (3, 3)),
-        ({"prompt_tokens": None, "completion_tokens": 5}, (3, 5)),
-        ({"completion_tokens": 5}, (3, 5)),
-        ({"prompt_tokens": -1, "completion_tokens": 5}, None),
-        ({"prompt_tokens": 12, "completion_tokens": "5"}, None),
-        ({"prompt_tokens": 12.5, "completion_tokens": 5}, None),
-        ({"prompt_tokens": True, "completion_tokens": 5}, None),
-        ([12, 5], None),
+        ("live reply", None, (3, 3)),
+        ("live reply", {"prompt_tokens": None, "completion_tokens": 5}, (3, 5)),
+        ("live reply", {"completion_tokens": 5}, (3, 5)),
+        ("live reply", {"prompt_tokens": -1, "completion_tokens": 5}, None),
+        ("live reply", {"prompt_tokens": 12, "completion_tokens": "5"}, None),
+        ("live reply", {"prompt_tokens": 12.5, "completion_tokens": 5}, None),
+        ("live reply", {"prompt_tokens": True, "completion_tokens": 5}, None),
+        ("live reply", [12, 5], None),
+        # A reply without text is malformed whatever its counts say.
+        (None, {"prompt_tokens": 12, "completion_tokens": 5}, None),
+        (None, {"prompt_tokens": 12, "completion_tokens": 0}, None),
+        (None, None, None),
+        (42, {"prompt_tokens": 12, "completion_tokens": 5}, None),
     ],
     ids=["null-usage", "null-count", "absent-count", "negative", "string", "float",
-         "bool", "not-object"],
+         "bool", "not-object", "null-content", "null-content-zero-count",
+         "null-content-null-usage", "number-content"],
 )
-def test_http_backend_bad_usage_fails_the_call_cleanly(stub_server, tmp_path, usage,
-                                                        tokens):
+def test_http_backend_bad_usage_fails_the_call_cleanly(stub_server, tmp_path, content,
+                                                        usage, tokens):
     server, url = stub_server
-    payload = _ok_payload("live reply")
+    payload = _ok_payload(content)
     payload["usage"] = usage
     _StubHandler.script = [(200, payload)]
     log = tmp_path / "llm_log.ndjson"

@@ -361,10 +361,10 @@ def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
     def records(stage):
         return {r["key"]: r for r in ndjson.iter_records(paths.checkpoint(stage))}
 
-    def failed(key, payload, category="content_filtered",
-               detail="scripted content_filtered", attempts=1):
+    def failed(key, category="content_filtered", detail="scripted content_filtered",
+               attempts=1):
         return {"key": key, "status": "failed", "category": category, "detail": detail,
-                "attempts": attempts, "payload": payload}
+                "attempts": attempts}
 
     runner.stage_generate()
     assert records("generate") == {
@@ -374,7 +374,7 @@ def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
                           "earliest_timestamp": 1_650_000_000, "title": "Opaque fares",
                           "description": "d", "quote": "fare math",
                           "quote_check": "verbatim"}]}},
-        "aaaa000000000002": failed("aaaa000000000002", {}),
+        "aaaa000000000002": failed("aaaa000000000002"),
     }
 
     # Four concerns in chunks of 3: the second chunk breaks parity every time.
@@ -388,7 +388,7 @@ def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
                             {"concern_id": ids[2], "code": "E"}],
             "remapped": 1}},
         "2": failed(
-            "2", {"concern_ids": [ids[3]]}, category="malformed_output",
+            "2", category="malformed_output",
             detail="contract violated after 2 retries: expected 1 entries, got 2",
             attempts=3,
         ),
@@ -398,7 +398,7 @@ def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
     assert records("aggregate") == {
         "A": {"key": "A", "status": "ok",
               "payload": {"subthemes": make_subthemes("A").to_dict()}},
-        "B": failed("B", {}),
+        "B": failed("B"),
     }
 
     ndjson.write_records(paths.theme_assignments,
@@ -410,5 +410,25 @@ def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
                             {"concern_id": ids[1], "code": "F", "theme": "A"},
                             {"concern_id": ids[2], "code": "B", "theme": "A"}],
             "remapped": 1}},
-        "A:2": failed("A:2", {"concern_ids": [ids[3]]}),
+        "A:2": failed("A:2"),
     }
+
+    # Earlier versions gave a failed unit a payload: the concern_ids of a
+    # chunk, {} otherwise. Such checkpoints resume with no backend call and
+    # unchanged summaries. Generate runs last: its resume rewrites the
+    # concerns the other two stages read.
+    old_payloads = {"prevalence": {"A:2": {"concern_ids": [ids[3]]}},
+                    "classify": {"2": {"concern_ids": [ids[3]]}},
+                    "generate": {"aaaa000000000002": {}}}
+    resumed = PipelineRunner(paths, study, scripted_gateway([]), workers=2)
+    for stage, payloads in old_payloads.items():
+        summary = paths.summary(stage).read_bytes()
+        entries = list(records(stage).values())
+        for entry in entries:
+            if entry["key"] in payloads:
+                entry["payload"] = payloads[entry["key"]]
+        ndjson.write_records(paths.checkpoint(stage), entries)
+        report = resumed.run_stage(stage)
+        assert (report.executed, report.failed) == (0, 1)
+        assert paths.summary(stage).read_bytes() == summary
+    assert resumed.gateway.backend.calls == 0

@@ -378,7 +378,9 @@ def test_classification_chunks_and_conservation(study, tmp_path):
     assert run.summary["concerns_in"] == len(concerns)
     [failed] = run.failed
     assert failed["category"] == "content_filtered"
-    assert len(failed["payload"]["concern_ids"]) == 3
+    # The failed chunk is the middle one, whose 3 concerns are the
+    # failed_concerns counted above.
+    assert failed["key"] == "2"
 
 
 def test_classification_fault_injection_conservation(study, tmp_path):
@@ -575,7 +577,7 @@ def test_prevalence_parity_contract_mirrors_classification(study, tmp_path):
     assert run.assignments == []
     assert run.summary["failed_concerns"] == 2
     [chunk] = run.failed
-    assert len(chunk["payload"]["concern_ids"]) == 2
+    assert (chunk["key"], chunk["category"]) == ("B:1", "malformed_output")
 
 
 def test_prevalence_unknown_letter_goes_to_catch_all(study, tmp_path):

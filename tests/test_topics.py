@@ -119,13 +119,13 @@ def test_all_empty_texts_error():
         extract_topics([], TopicParams())
 
 
-def test_extract_topics_deterministic_for_fixed_seed():
+def test_extract_topics_deterministic():
     rng = random.Random(1)
     vocab = ["fare", "surge", "queue", "rating", "support", "map", "bonus"]
     corpus = [
         " ".join(rng.choice(vocab) for _ in range(8)) for _ in range(60)
     ]
-    params = TopicParams(min_topic_size=2, seed=7)
+    params = TopicParams(min_topic_size=2)
     first = extract_topics(corpus, params)
     second = extract_topics(corpus, params)
     assert first == second
@@ -172,7 +172,7 @@ def quadratic_extract_topics(corpus, params):
         total = sum(centroid.values())
         terms = {term: count / total for term, count in centroid.items()}
         topics.append(Topic(topic_id=f"t{rank}", frequency=size, terms=terms))
-    return TopicModelOutput(topics=tuple(topics), seed=params.seed)
+    return TopicModelOutput(topics=tuple(topics))
 
 
 def seeded_corpus(seed, docs, vocab_size, duplicate_share=0.0, empty_share=0.0):
@@ -418,7 +418,7 @@ def test_evaluate_aggregation_planted_alignment(tmp_path):
     from quallm.topics import evaluate_aggregation
 
     run_dir = _planted_run_dir(tmp_path, CLUSTER_VOCAB)
-    evaluation = evaluate_aggregation(run_dir, TopicParams(min_topic_size=2, seed=0))
+    evaluation = evaluate_aggregation(run_dir, TopicParams(min_topic_size=2))
     [theme] = evaluation.per_theme
     assert theme.assigned == ["t1", "t2", "t3", "t4", "t5"]
     assert evaluation.mean_distinctness == 1.0
@@ -434,7 +434,7 @@ def test_evaluate_aggregation_two_subthemes_one_topic(tmp_path):
     # rank 5's title differs textually but shares rank 4's vocabulary
     texts[4] = f"{texts[3]} again"
     run_dir = _planted_run_dir(tmp_path, texts)
-    evaluation = evaluate_aggregation(run_dir, TopicParams(min_topic_size=2, seed=0))
+    evaluation = evaluate_aggregation(run_dir, TopicParams(min_topic_size=2))
     [theme] = evaluation.per_theme
     assert theme.distinctness == pytest.approx(0.8)
     assert evaluation.pooled_distinctness == pytest.approx(0.8)
