@@ -6,7 +6,6 @@ full production run (tens of thousands of concerns) and renders them the
 way the CLI's `report` and `cost` commands do.
 """
 
-from quallm.gateway import TokenLedger, cost_report
 from quallm.models import (
     SubThemeAssignment,
     SubThemeEntry,
@@ -18,6 +17,7 @@ from quallm.models import (
 from quallm.report import (
     compute_prevalence_table,
     compute_theme_distribution,
+    cost_report,
     render_cost_table,
     render_distribution_markdown,
     render_theme_table_markdown,
@@ -82,9 +82,7 @@ def main() -> None:
     print(render_theme_table_markdown(table))
 
     print("Token cost at $0.01/1K input and $0.03/1K output:\n")
-    ledger = TokenLedger(input_rate=0.01, output_rate=0.03)
-    ledger.add(135_120_000, 10_370_000)
-    print(render_cost_table(cost_report(ledger)))
+    print(render_cost_table(cost_report(135_120_000, 10_370_000, 0.01, 0.03)))
 
 
 if __name__ == "__main__":

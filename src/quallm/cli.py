@@ -25,8 +25,8 @@ from .gateway import (
     HttpBackend,
     MockBackend,
     RetryPolicy,
-    TokenLedger,
-    cost_report,
+    logged_tokens,
+    token_count,
 )
 from .ingest import (
     build_threads,
@@ -38,6 +38,7 @@ from .ingest import (
 from .pipeline import (
     STAGE_CLASSIFY,
     STAGE_GENERATE,
+    STAGE_PREVALENCE,
     STAGES,
     PipelineOrderError,
     PipelineRunner,
@@ -177,14 +178,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     config, paths = _load(args)
     if not paths.theme_assignments.exists():
         raise PipelineOrderError("report", STAGE_CLASSIFY)
+    # Tables without prevalence output would read as measured zero counts.
+    if paths.subtheme_files() and not paths.subtheme_assignments.exists():
+        raise PipelineOrderError("report", STAGE_PREVALENCE)
     taxonomy = config.load_taxonomy()
     theme_assignments = load_theme_assignments(paths.theme_assignments)
 
     subtheme_sets = load_subtheme_sets(paths)
     subtheme_assignments = (
-        load_subtheme_assignments(paths.subtheme_assignments)
-        if paths.subtheme_assignments.exists()
-        else []
+        load_subtheme_assignments(paths.subtheme_assignments) if subtheme_sets else []
     )
     quotes = None
     if config.quotes is not None and config.quotes.exists():
@@ -199,34 +201,28 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ledger_from_log(paths: RunPaths, config: RunConfig) -> TokenLedger:
-    ledger = TokenLedger(config.input_rate, config.output_rate)
-    if not paths.llm_log.exists():
-        raise PipelineOrderError("cost", STAGE_GENERATE)
-    # Every successful call was billed: parity re-asks reuse their tag and
-    # re-executed units repeat theirs, so no line supersedes another.
-    for record in ndjson.iter_records(paths.llm_log):
-        if record.get("outcome") == "ok":
-            ledger.add(record.get("input_tokens", 0), record.get("output_tokens", 0))
-    return ledger
+def _ledger_tokens(path: Path) -> tuple[int, int]:
+    """The two totals of a ``--ledger`` file."""
+    data = ndjson.read_json(path)
+    keys = ("total_input_tokens", "total_output_tokens")
+    if not isinstance(data, dict) or any(data.get(key) is None for key in keys):
+        raise CliError(f"ledger {path} must be an object with total_input_tokens"
+                       " and total_output_tokens", EXIT_INPUT)
+    input_tokens, output_tokens = (
+        token_count(data[key], f"ledger {path}: {key}") for key in keys
+    )
+    return input_tokens, output_tokens
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
     config, paths = _load(args)
     if args.ledger:
-        data = ndjson.read_json(Path(args.ledger))
-        try:
-            tokens = int(data["total_input_tokens"]), int(data["total_output_tokens"])
-        except (KeyError, TypeError) as exc:
-            raise CliError(
-                f"ledger {args.ledger} must be an object with total_input_tokens"
-                " and total_output_tokens", EXIT_INPUT,
-            ) from exc
-        ledger = TokenLedger(config.input_rate, config.output_rate)
-        ledger.add(*tokens)
+        tokens = _ledger_tokens(Path(args.ledger))
+    elif paths.llm_log.exists():
+        tokens = logged_tokens(paths.llm_log)
     else:
-        ledger = _ledger_from_log(paths, config)
-    breakdown = cost_report(ledger)
+        raise PipelineOrderError("cost", STAGE_GENERATE)
+    breakdown = report_mod.cost_report(*tokens, config.input_rate, config.output_rate)
     path = report_mod.write_cost_report(paths, breakdown)
     print(report_mod.render_cost_table(breakdown), end="")
     print(f"wrote {path}")

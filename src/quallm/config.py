@@ -97,6 +97,10 @@ class RunConfig:
             )
         if self.group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
+        for name in ("input_rate", "output_rate"):
+            rate = getattr(self, name)
+            if not rate > 0:
+                raise ValueError(f"{name} must be > 0, got {rate}")
 
     def load_taxonomy(self) -> ThemeTaxonomy:
         if self.taxonomy is None:

@@ -1,4 +1,4 @@
-"""Chat-completion access with retry/throttle discipline and cost accounting.
+"""Chat-completion access with retry/throttle discipline and token counting.
 
 A model call is ``Gateway.complete(prompt, tag)``: one user prompt for
 one unit, tagged with its stage and unit.  The gateway passes both to
@@ -9,6 +9,15 @@ alone holds the model settings (model, temperature, max output tokens),
 and a deterministic scripted mock keyed by the tag, used for tests and
 offline runs.  Where a reply carries no token count, both backends
 estimate it from the prompt and reply text with ``estimate_tokens``.
+
+Every token count enters through ``token_count``, which takes only a
+non-negative integer: a live reply's usage counts (a bad one makes the
+call a ``malformed_output`` failure), a mock script's counts (checked
+when the script loads) and the totals ``quallm cost`` reads.  The
+gateway appends one line per call to the run log and, under the same
+lock, adds the line's counts to ``Gateway.tokens``; ``logged_tokens``
+sums a log's ``ok`` lines back, so a stage's token line and the cost
+report add up the same counts.
 
 All workers of one ``Gateway`` share one throttle gate.  A 429 that
 carries a server retry hint (``retry-after-ms``, else ``Retry-After``
@@ -139,12 +148,19 @@ class MockBackend:
     sequential, so consumption stays deterministic under concurrency).
     An unmatched tag yields a malformed_output failure unless
     ``default_text`` is set, in which case that canned text is returned.
+
+    Entries are checked here, before any call: an entry that breaks the
+    rules raises ValueError naming *source* and the entry's line, which
+    is ``lines[i]`` for ``entries[i]`` when given, else its position.
     """
 
-    def __init__(self, entries: Sequence[dict], default_text: Optional[str] = None):
+    def __init__(self, entries: Sequence[dict], default_text: Optional[str] = None,
+                 source: str = "mock script", lines: Sequence[int] = ()):
         self._queues: dict[str, list[dict]] = {}
-        for entry in entries:
-            self._queues.setdefault(str(entry["request_tag"]), []).append(entry)
+        for index, entry in enumerate(entries):
+            line = lines[index] if lines else index + 1
+            _check_entry(entry, f"{source}: line {line}")
+            self._queues.setdefault(entry["request_tag"], []).append(entry)
         self._cursor: dict[str, int] = {}
         self._default_text = default_text
         self._lock = threading.Lock()
@@ -154,7 +170,9 @@ class MockBackend:
     def from_script(
         cls, path: Path, default_text: Optional[str] = None
     ) -> "MockBackend":
-        return cls(ndjson.read_records(path), default_text=default_text)
+        numbered = list(ndjson.iter_numbered(path))
+        return cls([entry for _, entry in numbered], default_text, str(path),
+                   [line for line, _ in numbered])
 
     def _next_entry(self, tag: str) -> Optional[dict]:
         queue = self._queues.get(tag)
@@ -175,7 +193,7 @@ class MockBackend:
                 raise MalformedOutputError(f"no scripted response for tag {tag!r}")
             entry = {"response_text": self._default_text}
         failure = entry.get("failure")
-        if failure:
+        if failure is not None:
             exc = {
                 THROTTLED: ThrottledError,
                 CONTENT_FILTERED: ContentFilteredError,
@@ -190,7 +208,24 @@ class MockBackend:
             input_tokens = estimate_tokens(prompt)
         if output_tokens is None:
             output_tokens = estimate_tokens(text)
-        return text, int(input_tokens), int(output_tokens)
+        return text, input_tokens, output_tokens
+
+
+def _check_entry(entry: object, where: str) -> None:
+    """Raise ValueError naming *where* unless *entry* is a usable script entry."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: entry must be a JSON object")
+    if not isinstance(entry.get("request_tag"), str):
+        raise ValueError(f"{where}: request_tag must be a string")
+    failure = entry.get("failure")
+    if failure is not None:
+        if failure not in FAILURE_CATEGORIES:
+            raise ValueError(f"{where}: failure must be one of"
+                             f" {', '.join(FAILURE_CATEGORIES)}, got {failure!r}")
+    elif not isinstance(entry.get("response_text"), str):
+        raise ValueError(f"{where}: needs a string response_text or a failure")
+    for key in ("input_tokens", "output_tokens"):
+        token_count(entry.get(key), f"{where}: {key}")
 
 
 class HttpBackend:
@@ -257,8 +292,9 @@ class HttpBackend:
                 raise TypeError(f"message content must be a string, got {text!r}")
             # An absent or null usage block or count means the provider gave none.
             usage = data.get("usage") or {}
-            input_tokens = _usage_count(usage.get("prompt_tokens"))
-            output_tokens = _usage_count(usage.get("completion_tokens"))
+            input_tokens = token_count(usage.get("prompt_tokens"), "prompt_tokens")
+            output_tokens = token_count(usage.get("completion_tokens"),
+                                        "completion_tokens")
         except ContentFilteredError:
             raise
         except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
@@ -271,17 +307,35 @@ class HttpBackend:
         )
 
 
-def _usage_count(value: object) -> int:
-    """A reply's token count, 0 when absent; anything but a count raises."""
+def token_count(value: object, name: str) -> Optional[int]:
+    """*value* as a token count, None when absent; anything but a
+    non-negative integer raises ValueError naming *name*."""
     if value is None:
-        return 0
+        return None
     if type(value) is not int or value < 0:
-        raise ValueError(f"token count must be a non-negative integer, got {value!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return value
 
 
+def logged_tokens(log_path: Path) -> tuple[int, int]:
+    """(input, output) tokens of the ``ok`` lines of a run log.
+
+    Every successful call was billed: parity re-asks reuse their tag and
+    re-executed units repeat theirs, so no line supersedes another.
+    """
+    input_tokens = output_tokens = 0
+    for line, record in ndjson.iter_numbered(log_path):
+        if record.get("outcome") == "ok":
+            where = f"{log_path}: line {line}"
+            input_tokens += token_count(record.get("input_tokens"),
+                                        f"{where}: input_tokens") or 0
+            output_tokens += token_count(record.get("output_tokens"),
+                                         f"{where}: output_tokens") or 0
+    return input_tokens, output_tokens
+
+
 # ---------------------------------------------------------------------------
-# Retry policy, ledger, gateway
+# Retry policy, gateway
 # ---------------------------------------------------------------------------
 
 
@@ -313,65 +367,16 @@ class RetryPolicy:
         )
 
 
-class TokenLedger:
-    """Shared accumulator of token usage; safe under concurrent updates."""
-
-    def __init__(self, input_rate: float = 0.01, output_rate: float = 0.03):
-        if input_rate <= 0 or output_rate <= 0:
-            raise ValueError("token rates must be positive")
-        self.input_rate = input_rate
-        self.output_rate = output_rate
-        self.total_input_tokens = 0
-        self.total_output_tokens = 0
-        self._lock = threading.Lock()
-
-    def add(self, input_tokens: int, output_tokens: int) -> None:
-        if input_tokens < 0 or output_tokens < 0:
-            raise ValueError("token counts must be non-negative")
-        with self._lock:
-            self.total_input_tokens += input_tokens
-            self.total_output_tokens += output_tokens
-
-    def snapshot(self) -> tuple[int, int]:
-        with self._lock:
-            return self.total_input_tokens, self.total_output_tokens
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    total_input_tokens: int
-    total_output_tokens: int
-    input_rate: float
-    output_rate: float
-    input_cost: float
-    output_cost: float
-    total_cost: float
-
-
-def cost_report(ledger: TokenLedger) -> CostBreakdown:
-    """Itemized cost: tokens/1000 x rate per side, summed."""
-    input_cost = ledger.total_input_tokens / 1000 * ledger.input_rate
-    output_cost = ledger.total_output_tokens / 1000 * ledger.output_rate
-    return CostBreakdown(
-        total_input_tokens=ledger.total_input_tokens,
-        total_output_tokens=ledger.total_output_tokens,
-        input_rate=ledger.input_rate,
-        output_rate=ledger.output_rate,
-        input_cost=input_cost,
-        output_cost=output_cost,
-        total_cost=input_cost + output_cost,
-    )
-
-
 class Gateway:
-    """Uniform completion access: one backend, one retry policy, one ledger.
+    """Uniform completion access: one backend, one retry policy, one token total.
 
     Throttle and transport errors are retried with exponential backoff up
     to the policy's attempt cap; content-policy rejections are never
     retried (retrying cannot succeed and wastes budget).  A throttle that
     carries a retry hint closes the gate shared by every caller instead
     (see the module docstring).  Every outcome is appended to the run log
-    when one is configured.
+    when one is configured, and ``tokens`` holds the (input, output)
+    totals of every outcome so far; only ``ok`` outcomes carry tokens.
     """
 
     def __init__(
@@ -385,8 +390,9 @@ class Gateway:
     ):
         self.backend = backend
         self.retry = retry
-        self.ledger = TokenLedger()
         self.run_log_path = run_log_path
+        # Replaced, never mutated, under _log_lock, so a bare read is consistent.
+        self.tokens: tuple[int, int] = (0, 0)
         self._sleep = sleep
         self._rng = random.Random(seed)
         self._log_lock = threading.Lock()
@@ -419,9 +425,11 @@ class Gateway:
 
     def _log(self, tag: str, outcome: str, attempts: int, input_tokens: int,
              output_tokens: int, throttled: int, waited_s: float) -> None:
-        if self.run_log_path is None:
-            return
         with self._log_lock:
+            self.tokens = (self.tokens[0] + input_tokens,
+                           self.tokens[1] + output_tokens)
+            if self.run_log_path is None:
+                return
             ndjson.append_record(
                 self.run_log_path,
                 {
@@ -465,7 +473,6 @@ class Gateway:
                 return GatewayFailure(
                     category=exc.category, attempts=attempts, detail=str(exc)
                 )
-            self.ledger.add(input_tokens, output_tokens)
             self._log(tag, "ok", attempts, input_tokens, output_tokens, throttled,
                       waited)
             return CompletionResult(

@@ -341,6 +341,10 @@ class StudyConfig:
             )
         if self.parity_retries < 0:
             raise ValueError("parity_retries must be >= 0")
+        if self.max_prompt_chars < 1:
+            raise ValueError(
+                f"max_prompt_chars must be >= 1, got {self.max_prompt_chars}"
+            )
         for name in ("classification_chunk_size", "aggregation_chunk_size",
                      "prevalence_chunk_size"):
             if getattr(self, name) < 1:

@@ -62,16 +62,25 @@ def append_record(path: Path, record: Any) -> None:
 
 
 def iter_records(path: Path) -> Iterator[Any]:
-    """Yield parsed records, skipping blank lines. Raises on corrupt JSON."""
+    """Yield parsed records, as iter_numbered does, without line numbers."""
+    for _, record in iter_numbered(path):
+        yield record
+
+
+def iter_numbered(path: Path) -> Iterator[tuple[int, Any]]:
+    """Yield (line number, record) pairs, skipping blank lines; corrupt
+    JSON raises ValueError naming the file and line."""
     with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                yield json.loads(line)
-
-
-def read_records(path: Path) -> list[Any]:
-    return list(iter_records(path))
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"{path}: line {number}: not valid JSON: {exc}"
+                    ) from None
+                yield number, record
 
 
 def read_json(path: Path) -> Any:

@@ -301,7 +301,7 @@ class PipelineRunner:
             if key not in done or (retry_failed and done[key]["status"] == "failed")
         ]
 
-        tokens_before = self.gateway.ledger.snapshot()
+        tokens_before = self.gateway.tokens
         executed = 0
         if pending:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -316,7 +316,7 @@ class PipelineRunner:
                     # Completed units are already checkpointed; drop the rest.
                     pool.shutdown(wait=True, cancel_futures=True)
                     raise
-        tokens_after = self.gateway.ledger.snapshot()
+        tokens_after = self.gateway.tokens
 
         entries = [done[key] for key, _ in units if key in done]
         failed_by_category: dict[str, int] = {}

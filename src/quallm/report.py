@@ -1,4 +1,4 @@
-"""Prevalence tables, theme distribution and their markdown/CSV renders.
+"""Prevalence tables, theme distribution, token cost and their markdown/CSV renders.
 
 All computation keeps exact integer counts and full-precision percents;
 rounding happens only when a value is rendered. Percents render to one
@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import ndjson
-from .gateway import CostBreakdown
 from .models import SubThemeAssignment, SubThemeSet, ThemeAssignment, ThemeTaxonomy
 from .pipeline import RunPaths
 
@@ -203,37 +202,37 @@ def load_quotes(path: Path) -> QuoteMap:
     return quotes
 
 
-def _attach_quotes(table: PrevalenceTable, quotes: Optional[QuoteMap]) -> list[PrevalenceRow]:
-    if not quotes:
-        return list(table.rows)
-    known = {(table.theme, row.rank) for row in table.rows}
+def attach_quotes(
+    tables: Sequence[PrevalenceTable], quotes: QuoteMap
+) -> list[PrevalenceTable]:
+    """*tables* with each row's quote replaced by the chosen quote for its
+    (theme, rank); each quote that matches no row is warned about once."""
+    placed: set[tuple[str, int]] = set()
+    out = []
+    for table in tables:
+        rows = []
+        for row in table.rows:
+            key = (table.theme, row.rank)
+            if key in quotes:
+                placed.add(key)
+                row = replace(row, quote=quotes[key])
+            rows.append(row)
+        out.append(replace(table, rows=tuple(rows)))
     for key in quotes:
-        if key[0] == table.theme and key not in known:
+        if key not in placed:
             logger.warning("quote for unknown (theme, rank) %s ignored", key)
-    rows = []
-    for row in table.rows:
-        quote = quotes.get((table.theme, row.rank), row.quote)
-        rows.append(
-            PrevalenceRow(
-                code=row.code, rank=row.rank, title=row.title,
-                count=row.count, percent=row.percent, quote=quote,
-            )
-        )
-    return rows
+    return out
 
 
-def render_theme_table_markdown(
-    table: PrevalenceTable, quotes: Optional[QuoteMap] = None
-) -> str:
+def render_theme_table_markdown(table: PrevalenceTable) -> str:
     """Columns: Harm | Quote | % (Count); quote column blank when absent."""
-    rows = _attach_quotes(table, quotes)
     lines = [
         f"Theme {table.theme} (Total = {render_count(table.total)})",
         "",
         "| Harm | Quote | % (Count) |",
         "| --- | --- | --- |",
     ]
-    for row in rows:
+    for row in table.rows:
         quote = f"*“{row.quote}”*" if row.quote else ""
         lines.append(
             f"| {row.title} | {quote}"
@@ -247,14 +246,11 @@ def render_theme_table_markdown(
     return "\n".join(lines) + "\n"
 
 
-def render_theme_table_csv(
-    table: PrevalenceTable, quotes: Optional[QuoteMap] = None
-) -> str:
-    rows = _attach_quotes(table, quotes)
+def render_theme_table_csv(table: PrevalenceTable) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["harm", "quote", "percent", "count"])
-    for row in rows:
+    for row in table.rows:
         writer.writerow(
             [row.title, row.quote or "", render_percent(row.percent), row.count]
         )
@@ -272,6 +268,33 @@ def render_theme_table_csv(
 # ---------------------------------------------------------------------------
 # Cost table
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CostBreakdown:
+    total_input_tokens: int
+    total_output_tokens: int
+    input_rate: float
+    output_rate: float
+    input_cost: float
+    output_cost: float
+    total_cost: float
+
+
+def cost_report(input_tokens: int, output_tokens: int, input_rate: float,
+                output_rate: float) -> CostBreakdown:
+    """Itemized cost: tokens/1000 x rate (USD per 1K tokens) per side, summed."""
+    input_cost = input_tokens / 1000 * input_rate
+    output_cost = output_tokens / 1000 * output_rate
+    return CostBreakdown(
+        total_input_tokens=input_tokens,
+        total_output_tokens=output_tokens,
+        input_rate=input_rate,
+        output_rate=output_rate,
+        input_cost=input_cost,
+        output_cost=output_cost,
+        total_cost=input_cost + output_cost,
+    )
 
 
 def render_cost_table(cost: CostBreakdown) -> str:
@@ -318,14 +341,19 @@ def write_reports(
     for assignment in subtheme_assignments:
         by_theme.setdefault(assignment.theme, []).append(assignment)
 
+    tables = [
+        compute_prevalence_table(by_theme.get(subthemes.theme, []), subthemes)
+        for subthemes in sorted(subtheme_sets, key=lambda s: s.theme)
+    ]
+    if quotes:
+        tables = attach_quotes(tables, quotes)
     names = {c.code: c.name for c in taxonomy.categories}
-    for subthemes in sorted(subtheme_sets, key=lambda s: s.theme):
-        table = compute_prevalence_table(by_theme.get(subthemes.theme, []), subthemes)
-        sections.append(f"## {subthemes.theme}. {names.get(subthemes.theme, '')}")
+    for table in tables:
+        sections.append(f"## {table.theme}. {names.get(table.theme, '')}")
         sections.append("")
-        sections.append(render_theme_table_markdown(table, quotes))
-        csv_path = paths.theme_table(subthemes.theme)
-        ndjson.write_text(csv_path, render_theme_table_csv(table, quotes))
+        sections.append(render_theme_table_markdown(table))
+        csv_path = paths.theme_table(table.theme)
+        ndjson.write_text(csv_path, render_theme_table_csv(table))
         written.append(csv_path)
     # A theme whose sub-theme set is gone must not keep its old table.
     for stale in paths.theme_table_files():

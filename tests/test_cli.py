@@ -238,7 +238,11 @@ def test_cost_command_reference_ledger(fixture, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "ledger", [{"total_input_tokens": 5}, [1, 2]], ids=["missing-key", "not-object"]
+    "ledger",
+    [{"total_input_tokens": 5}, [1, 2],
+     {"total_input_tokens": -5, "total_output_tokens": 2},
+     {"total_input_tokens": 5, "total_output_tokens": 2.5}],
+    ids=["missing-key", "not-object", "negative", "float"],
 )
 def test_cost_command_malformed_ledger_exits_2(fixture, tmp_path, capsys, ledger):
     ledger_file = tmp_path / "ledger.json"
@@ -298,7 +302,7 @@ def test_cost_counts_every_billed_call(fixture):
 
     assert main(["cost", "--config", str(fixture.config_path)]) == 0
     assert _cost_md_tokens(fixture.run_dir) == _log_tokens(fixture.run_dir)
-    assert _cost_md_tokens(fixture.run_dir) == gateway.ledger.snapshot()
+    assert _cost_md_tokens(fixture.run_dir) == gateway.tokens
 
 
 def test_run_all_prints_each_stages_tokens(fixture, capsys):
@@ -569,7 +573,9 @@ def test_cli_import_does_not_load_numpy():
 @pytest.mark.parametrize("setting", ["max_attempts=0", "parity_retries=-1",
                                      "backoff_base=-1", "temperature=2.5",
                                      "temperature=-0.1", "max_output_tokens=0",
-                                     "group_size=0", "subtheme_count=26"])
+                                     "group_size=0", "subtheme_count=26",
+                                     "max_prompt_chars=0", "input_rate=0",
+                                     "output_rate=-1"])
 def test_unworkable_retry_setting_exits_2_before_any_call(fixture, capsys, setting):
     assert run_ingest(fixture) == 0
     with fixture.config_path.open("a") as fh:
@@ -594,13 +600,15 @@ def test_unworkable_retry_setting_exits_2_before_any_call(fixture, capsys, setti
         (["eval", "--metrics", "aggregation", "--min-topic-size", "1"],
          "theme_assignments.ndjson", "classify"),
         (["report"], "theme_assignments.ndjson", "classify"),
+        (["report"], "subtheme_assignments.ndjson", "prevalence"),
         (["cost"], "llm_log.ndjson", "generate"),
         (["prevalence"], "subthemes_*.json", "aggregate"),
         (["eval", "--metrics", "aggregation", "--min-topic-size", "1"],
          "subthemes_*.json", "aggregate"),
     ],
     ids=["classify", "aggregate", "prevalence", "eval", "aggregate-no-themes",
-         "prevalence-no-themes", "eval-no-themes", "report-no-themes", "cost-no-log",
+         "prevalence-no-themes", "eval-no-themes", "report-no-themes",
+         "report-no-prevalence", "cost-no-log",
          "prevalence-no-subthemes", "eval-no-subthemes"],
 )
 def test_missing_upstream_output_exits_3(fixture, capsys, command, missing, producer):
@@ -639,6 +647,54 @@ def test_unparseable_taxonomy_names_the_file(fixture, capsys):
     assert rc == 2
     assert "taxonomy.json: not valid JSON" in capsys.readouterr().err
     assert not (fixture.run_dir / "llm_log.ndjson").exists()
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [({"request_tag": None}, "request_tag"),
+     ({"response_text": None}, "response_text"),
+     ({"response_text": None, "failure": "exploded"}, "failure"),
+     ({"input_tokens": -4}, "input_tokens"),
+     ({"input_tokens": 1.7}, "input_tokens"),
+     ({"output_tokens": "12"}, "output_tokens"),
+     ({"input_tokens": True}, "input_tokens")],
+    ids=["no-tag", "no-text-or-failure", "unknown-failure", "negative-count",
+         "float-count", "string-count", "bool-count"],
+)
+def test_bad_mock_script_entry_exits_2_before_any_call(fixture, capsys, change,
+                                                       problem):
+    assert run_ingest(fixture) == 0
+    entries = list(ndjson.iter_records(fixture.script_path))
+    bad = {k: v for k, v in {**entries[2], **change}.items() if v is not None}
+    lines = [json.dumps(e) for e in [entries[0], entries[1], bad] + entries[3:]]
+    # The blank line counts: the bad entry sits on line 4 of the file.
+    fixture.script_path.write_text(lines[0] + "\n\n" + "\n".join(lines[1:]) + "\n")
+    capsys.readouterr()
+    rc = main(["generate", "--config", str(fixture.config_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "script.ndjson: line 4: " in err and problem in err
+    assert not (fixture.run_dir / "llm_log.ndjson").exists()
+    assert not (fixture.run_dir / "checkpoints").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"request_tag": "x", "outcome": "ok", "input_tokens": -3, "output_tokens": 1}',
+     '{"request_tag": "x", "outcome": "ok", "inp'],
+    ids=["negative-count", "torn-line"],
+)
+def test_cost_names_the_bad_log_line(fixture, capsys, line):
+    run_ingest(fixture)
+    assert main(["generate", "--config", str(fixture.config_path)]) == 0
+    log = fixture.run_dir / "llm_log.ndjson"
+    bad_line = len(log.read_text().splitlines()) + 1
+    with log.open("a") as fh:
+        fh.write(line + "\n")
+    capsys.readouterr()
+    assert main(["cost", "--config", str(fixture.config_path)]) == 2
+    assert f"llm_log.ndjson: line {bad_line}: " in capsys.readouterr().err
+    assert not (fixture.run_dir / "cost.md").exists()
 
 
 def test_unparseable_ledger_names_the_file(fixture, tmp_path, capsys):

@@ -17,11 +17,11 @@ from quallm.gateway import (
     MockBackend,
     RetryPolicy,
     ThrottledError,
-    TokenLedger,
-    cost_report,
+    logged_tokens,
     parse_retry_after,
 )
 from quallm.pipeline import RunPaths
+from quallm.report import cost_report
 from quallm.stages import _ask
 
 from conftest import scripted_gateway
@@ -46,7 +46,7 @@ def test_scripted_echo_single_attempt():
     assert isinstance(result, CompletionResult)
     assert result.text == "T"
     assert result.attempts == 1
-    assert gateway.ledger.snapshot() == (10, 2)
+    assert gateway.tokens == (10, 2)
 
 
 def test_throttle_once_then_success_counts_attempts():
@@ -130,7 +130,7 @@ def test_mock_determinism_bit_identical_runs():
     def run():
         gateway = scripted_gateway(list(entries))
         outputs = [gateway.complete(*req(f"u:{i}")).text for i in range(20)]
-        return outputs, gateway.ledger.snapshot()
+        return outputs, gateway.tokens
 
     assert run() == run()
 
@@ -149,7 +149,7 @@ def test_mock_outputs_and_ledger_identical_across_concurrency():
             results = list(pool.map(
                 lambda i: (i, gateway.complete(*req(f"u:{i}")).text), range(40)
             ))
-        return sorted(results), gateway.ledger.snapshot()
+        return sorted(results), gateway.tokens
 
     single = run(1)
     assert run(4) == single
@@ -360,78 +360,80 @@ def test_shorter_hint_does_not_reopen_gate_early():
 
 
 # ---------------------------------------------------------------------------
-# ledger and cost
+# token totals and cost
 # ---------------------------------------------------------------------------
 
 
-def test_ledger_add_accumulates_and_commutes():
-    first = TokenLedger()
-    first.add(100, 50)
-    first.add(7, 3)
-    second = TokenLedger()
-    second.add(7, 3)
-    second.add(100, 50)
-    assert first.snapshot() == second.snapshot() == (107, 53)
+def _counted(tag, input_tokens, output_tokens):
+    return {"request_tag": tag, "response_text": "x", "input_tokens": input_tokens,
+            "output_tokens": output_tokens}
 
 
-def test_ledger_replay_equals_per_request_sum():
-    results = [
-        CompletionResult(text="", input_tokens=i, output_tokens=2 * i, attempts=1)
-        for i in range(1, 30)
-    ]
-    ledger = TokenLedger()
-    for result in results:
-        ledger.add(result.input_tokens, result.output_tokens)
-    assert ledger.snapshot() == (
+def test_ledger_add_accumulates_and_commutes(tmp_path):
+    def run(tags, log):
+        gateway = scripted_gateway([_counted("a", 100, 50), _counted("b", 7, 3)],
+                                   run_log_path=log)
+        for tag in tags:
+            gateway.complete(*req(tag))
+        return gateway.tokens, logged_tokens(log)
+
+    first = run("ab", tmp_path / "first.ndjson")
+    second = run("ba", tmp_path / "second.ndjson")
+    assert first == second == ((107, 53), (107, 53))
+
+
+def test_ledger_replay_equals_per_request_sum(tmp_path):
+    log = tmp_path / "llm_log.ndjson"
+    gateway = scripted_gateway(
+        [_counted(f"u:{i}", i, 2 * i) for i in range(1, 30)], run_log_path=log
+    )
+    results = [gateway.complete(*req(f"u:{i}")) for i in range(1, 30)]
+    expected = (
         sum(r.input_tokens for r in results),
         sum(r.output_tokens for r in results),
     )
+    assert gateway.tokens == logged_tokens(log) == expected == (435, 870)
 
 
-def test_ledger_concurrent_updates_do_not_lose_counts():
-    ledger = TokenLedger()
+def test_ledger_concurrent_updates_do_not_lose_counts(tmp_path):
+    log = tmp_path / "llm_log.ndjson"
+    gateway = scripted_gateway([_counted("t", 1, 2)], run_log_path=log)
 
     def worker():
         for _ in range(1000):
-            ledger.add(1, 2)
+            gateway.complete(*req("t"))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert ledger.snapshot() == (8000, 16000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update would show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert gateway.tokens == logged_tokens(log) == (8000, 16000)
 
 
 def test_cost_report_paper_scale_values():
-    ledger = TokenLedger(input_rate=0.01, output_rate=0.03)
-    ledger.add(135_120_000, 10_370_000)
-    cost = cost_report(ledger)
+    cost = cost_report(135_120_000, 10_370_000, 0.01, 0.03)
     assert f"{cost.input_cost:,.2f}" == "1,351.20"
     assert f"{cost.output_cost:,.2f}" == "311.10"
     assert f"{cost.total_cost:,.2f}" == "1,662.30"
 
 
 def test_cost_zero_ledger():
-    cost = cost_report(TokenLedger())
+    cost = cost_report(0, 0, 0.01, 0.03)
     assert f"{cost.total_cost:.2f}" == "0.00"
 
 
 def test_cost_linearity_under_doubling():
-    ledger = TokenLedger()
-    ledger.add(12_345, 678)
-    single = cost_report(ledger)
-    ledger.add(12_345, 678)
-    double = cost_report(ledger)
+    single = cost_report(12_345, 678, 0.01, 0.03)
+    double = cost_report(2 * 12_345, 2 * 678, 0.01, 0.03)
     assert double.input_cost == pytest.approx(2 * single.input_cost)
     assert double.output_cost == pytest.approx(2 * single.output_cost)
-
-
-def test_ledger_rejects_bad_values():
-    with pytest.raises(ValueError):
-        TokenLedger(input_rate=0)
-    with pytest.raises(ValueError):
-        TokenLedger().add(-1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +563,14 @@ def test_http_backend_bad_usage_fails_the_call_cleanly(stub_server, tmp_path, co
         assert result.category == "malformed_output"
         assert result.attempts == 1
         assert line["outcome"] == "malformed_output"
-        assert gateway.ledger.snapshot() == (0, 0)
+        assert gateway.tokens == (0, 0)
     else:
         # An absent count is estimated from the prompt or the reply text.
         assert isinstance(result, CompletionResult)
         assert (result.input_tokens, result.output_tokens) == tokens
         assert line["outcome"] == "ok"
         assert (line["input_tokens"], line["output_tokens"]) == tokens
-        assert gateway.ledger.snapshot() == tokens
+        assert gateway.tokens == tokens
 
 
 def test_http_backend_throttle_then_success(stub_server):

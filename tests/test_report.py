@@ -1,10 +1,14 @@
+import logging
+
 import pytest
 
-from quallm.gateway import TokenLedger, cost_report
 from quallm.models import SubThemeAssignment, ThemeAssignment
+from quallm.pipeline import RunPaths
 from quallm.report import (
+    attach_quotes,
     compute_prevalence_table,
     compute_theme_distribution,
+    cost_report,
     load_quotes,
     render_cost_table,
     render_count,
@@ -14,6 +18,7 @@ from quallm.report import (
     render_percent,
     render_theme_table_csv,
     render_theme_table_markdown,
+    write_reports,
 )
 
 from conftest import make_subthemes, make_taxonomy
@@ -227,9 +232,26 @@ def test_theme_table_quotes_attached_and_unknown_ignored(tmp_path, caplog):
     quotes = load_quotes(quotes_file)
     subthemes = make_subthemes("A")
     table = compute_prevalence_table(sub_assignments("A", {"A": 2}), subthemes)
-    md = render_theme_table_markdown(table, quotes)
+    [quoted] = attach_quotes([table], quotes)
+    md = render_theme_table_markdown(quoted)
     assert "the math never adds up" in md
     assert "dangling" not in md
+    assert "the math never adds up" in render_theme_table_csv(quoted)
+
+
+def test_each_unmatched_quote_warned_once(tmp_path, caplog):
+    quotes = {("A", 1): "the math never adds up", ("A", 9): "no such rank",
+              ("Z", 1): "no such theme"}
+    with caplog.at_level(logging.WARNING, logger="quallm.report"):
+        write_reports(
+            RunPaths(tmp_path), make_taxonomy(), assignments_for({"A": 2}),
+            [make_subthemes("A")], sub_assignments("A", {"A": 2}), quotes,
+        )
+    warned = [r.getMessage() for r in caplog.records]
+    assert sum("('A', 9)" in m for m in warned) == 1
+    assert sum("('Z', 1)" in m for m in warned) == 1
+    assert len(warned) == 2
+    assert "the math never adds up" in (tmp_path / "theme_A.csv").read_text()
 
 
 def test_empty_table_renders_header_only_rows():
@@ -267,9 +289,7 @@ def test_distribution_renders_share_values():
 
 
 def test_cost_table_reference_ledger_to_the_cent():
-    ledger = TokenLedger(input_rate=0.01, output_rate=0.03)
-    ledger.add(135_120_000, 10_370_000)
-    md = render_cost_table(cost_report(ledger))
+    md = render_cost_table(cost_report(135_120_000, 10_370_000, 0.01, 0.03))
     assert "$1,351.20" in md
     assert "$311.10" in md
     assert "$1,662.30" in md
@@ -278,15 +298,12 @@ def test_cost_table_reference_ledger_to_the_cent():
 
 
 def test_cost_table_zero_ledger():
-    md = render_cost_table(cost_report(TokenLedger()))
+    md = render_cost_table(cost_report(0, 0, 0.01, 0.03))
     assert "$0.00" in md
 
 
 def test_cost_table_doubles_linearly():
-    ledger = TokenLedger()
-    ledger.add(1_000_000, 500_000)
-    first = cost_report(ledger)
-    ledger.add(1_000_000, 500_000)
-    second = cost_report(ledger)
+    first = cost_report(1_000_000, 500_000, 0.01, 0.03)
+    second = cost_report(2_000_000, 1_000_000, 0.01, 0.03)
     assert second.input_cost == pytest.approx(2 * first.input_cost)
     assert second.total_cost == pytest.approx(2 * first.total_cost)

@@ -652,9 +652,8 @@ def test_generate_for_group_reasks_malformed_reply(study, tmp_path):
     [concern] = outcome
     assert concern.quote_check == "verbatim"
     assert gateway.backend.calls == 2
-    # Both replies were billed: the ledger and the run log count each one.
-    assert gateway.ledger.total_input_tokens == 240
-    assert gateway.ledger.total_output_tokens == 34
+    # Both replies were billed: the gateway's total and the run log count each one.
+    assert gateway.tokens == (240, 34)
     lines = list(ndjson.iter_records(log))
     assert len(lines) == 2
     assert sum(r["input_tokens"] + r["output_tokens"] for r in lines) == 274
