@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Walkthrough: from raw archive dumps to batched thread groups.
 
-Builds a small synthetic forum dump, then runs each ingest step by hand:
-parsing, thread reconstruction, short-text filtering and batching.
+Builds a small synthetic forum dump with the benchmark's study generator
+(``bench/study.py``), then runs each ingest step by hand: parsing, thread
+reconstruction, short-text filtering and batching.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
-from quallm.fixtures import build_demo_fixture
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from study import StudySize, build_study  # noqa: E402
 from quallm.ingest import (
     build_threads,
     filter_short,
@@ -19,12 +22,12 @@ from quallm.ingest import (
 
 def main() -> None:
     scratch = Path(tempfile.mkdtemp(prefix="quallm-demo-ingest-"))
-    fixture = build_demo_fixture(scratch, thread_count=20)
+    build_study(scratch, 5, StudySize(threads=20))
     print(f"synthetic dumps under {scratch}\n")
 
     print("Step 1 - parse the newline-delimited JSON dumps")
-    submissions = parse_archive_file(fixture.submissions_path, "submissions")
-    comments = parse_archive_file(fixture.comments_path, "comments")
+    submissions = parse_archive_file(scratch / "submissions.ndjson", "submissions")
+    comments = parse_archive_file(scratch / "comments.ndjson", "comments")
     print(f"  submissions: {len(submissions.records)} (skipped {submissions.skipped})")
     print(f"  comments:    {len(comments.records)} (skipped {comments.skipped})")
 

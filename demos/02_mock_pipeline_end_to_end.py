@@ -2,57 +2,61 @@
 """Walkthrough: the four prompting stages over a scripted mock backend.
 
 Runs ingest + generate/classify/aggregate/prevalence through the CLI
-entry point against the bundled synthetic fixture, then re-runs to show
-checkpointed idempotency (the second pass performs zero backend calls).
+entry point against a seeded synthetic study from the benchmark's
+generator (``bench/study.py``), then re-runs to show checkpointed
+idempotency (the second pass performs zero backend calls).
 """
 
 import json
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
-from quallm.cli import main as quallm
-from quallm.fixtures import build_demo_fixture
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from study import StudySize, build_study  # noqa: E402
+from quallm.cli import main as quallm  # noqa: E402
 
 
 def main() -> None:
     scratch = Path(tempfile.mkdtemp(prefix="quallm-demo-pipeline-"))
-    fixture = build_demo_fixture(scratch, thread_count=50)
+    study = build_study(scratch, 5, StudySize(threads=50))
+    config, run_dir = str(scratch / "run.cfg"), scratch / "run"
     print(f"study directory: {scratch}")
-    print(f"planted theme counts: {fixture.theme_counts}\n")
+    print(f"planted theme counts: {study.theme_counts}\n")
 
     print("=== ingest ===")
     quallm([
         "ingest",
-        "--config", str(fixture.config_path),
-        "--submissions", str(fixture.submissions_path),
-        "--comments", str(fixture.comments_path),
+        "--config", config,
+        "--submissions", str(scratch / "submissions.ndjson"),
+        "--comments", str(scratch / "comments.ndjson"),
     ])
 
     for stage in ("generate", "classify", "aggregate", "prevalence"):
         print(f"\n=== {stage} ===")
-        quallm([stage, "--config", str(fixture.config_path)])
+        quallm([stage, "--config", config])
 
     assigned = Counter(
         json.loads(line)["code"]
-        for line in (fixture.run_dir / "theme_assignments.ndjson")
+        for line in (run_dir / "theme_assignments.ndjson")
         .read_text().splitlines()
     )
     print(f"\nrecovered theme counts: {dict(sorted(assigned.items()))}")
     print("matches planted counts:",
-          dict(assigned) == {k: v for k, v in fixture.theme_counts.items() if v})
+          dict(assigned) == {k: v for k, v in study.theme_counts.items() if v})
 
     print("\n=== re-run (resumability) ===")
-    log_lines = len((fixture.run_dir / "llm_log.ndjson").read_text().splitlines())
-    quallm(["run-all", "--config", str(fixture.config_path)])
+    log_lines = len((run_dir / "llm_log.ndjson").read_text().splitlines())
+    quallm(["run-all", "--config", config])
     log_lines_after = len(
-        (fixture.run_dir / "llm_log.ndjson").read_text().splitlines()
+        (run_dir / "llm_log.ndjson").read_text().splitlines()
     )
     print(f"\nbackend calls during re-run: {log_lines_after - log_lines}"
           " (completed units are skipped via checkpoints)")
 
     print("\nrun directory contents:")
-    for path in sorted(fixture.run_dir.iterdir()):
+    for path in sorted(run_dir.iterdir()):
         print(f"  {path.name}")
 
 

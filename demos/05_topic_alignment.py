@@ -12,11 +12,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from quallm.cli import main as quallm
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from study import StudySize, build_study  # noqa: E402
+from quallm.cli import main as quallm  # noqa: E402
 
 logging.basicConfig(format="  note: %(message)s", stream=sys.stdout)
-from quallm.fixtures import build_demo_fixture
-from quallm.topics import (
+from quallm.topics import (  # noqa: E402
     TopicParams,
     coverage_k,
     distinctness,
@@ -62,23 +63,24 @@ def main() -> None:
 
     print("\n--- same evaluation over a full mock run directory ---")
     scratch = Path(tempfile.mkdtemp(prefix="quallm-demo-topics-"))
-    fixture = build_demo_fixture(scratch, thread_count=50)
+    build_study(scratch, 5, StudySize(threads=50))
+    config = str(scratch / "run.cfg")
     quallm([
         "ingest",
-        "--config", str(fixture.config_path),
-        "--submissions", str(fixture.submissions_path),
-        "--comments", str(fixture.comments_path),
+        "--config", config,
+        "--submissions", str(scratch / "submissions.ndjson"),
+        "--comments", str(scratch / "comments.ndjson"),
     ])
-    quallm(["run-all", "--config", str(fixture.config_path)])
+    quallm(["run-all", "--config", config])
 
-    evaluation = evaluate_aggregation(fixture.run_dir, TopicParams(min_topic_size=1))
+    evaluation = evaluate_aggregation(scratch / "run", TopicParams(min_topic_size=1))
     print(f"\nthemes evaluated: {[t.theme for t in evaluation.per_theme]}")
     print(f"mean distinctness:   {evaluation.mean_distinctness:.2f}")
     print(f"pooled distinctness: {evaluation.pooled_distinctness:.2f}")
     for k in sorted(evaluation.mean_coverage):
         print(f"mean coverage({k}):    {evaluation.mean_coverage[k]:.2f}")
     print(
-        "\n(The mock fixture's concern texts are near-identical within each"
+        "\n(The synthetic study's concern texts share one template per"
         " theme, so each theme collapses to a single topic and all five"
         " sub-themes map to it - distinctness 1/5. Real corpora look like"
         " the planted example above.)"

@@ -7,6 +7,7 @@ parser has no dependencies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -125,8 +126,9 @@ class RunConfig:
         )
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def parse_config_text(text: str) -> dict[str, object]:
+    """key -> value, with the int and float keys already converted."""
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -137,7 +139,17 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in KNOWN_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        value = value.strip()
+        kind = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+        try:
+            values[key] = kind(value)
+            if kind is float and not math.isfinite(values[key]):
+                raise ValueError(value)
+        except ValueError:
+            wanted = "an integer" if kind is int else "a finite number"
+            raise ValueError(
+                f"config line {lineno}: {key} must be {wanted}, got {value!r}"
+            ) from None
     return values
 
 
@@ -149,17 +161,12 @@ def load_config(path: Path, run_dir_override: Optional[Path] = None) -> RunConfi
     config = RunConfig()
     base = path.parent
     for key, value in raw.items():
-        if key in _INT_KEYS:
-            setattr(config, key, int(value))
-        elif key in _FLOAT_KEYS:
-            setattr(config, key, float(value))
-        elif key in _PATH_KEYS:
+        if key in _PATH_KEYS:
             # Relative paths resolve against the config file's directory.
-            candidate = Path(value)
-            setattr(config, key,
-                    candidate if candidate.is_absolute() else base / candidate)
-        else:
-            setattr(config, key, value)
+            value = Path(value)
+            if not value.is_absolute():
+                value = base / value
+        setattr(config, key, value)
     if run_dir_override is not None:
         config.run_dir = run_dir_override
     config.validate()

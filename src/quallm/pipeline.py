@@ -168,6 +168,8 @@ class Checkpoint:
                     status = record["status"]
                     if status not in ("ok", "failed"):
                         raise ValueError(f"bad status {status!r}")
+                    if status == "ok" and not isinstance(record.get("payload"), dict):
+                        raise ValueError("ok entry without a payload object")
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     bad_lines.append(stripped)
                     continue

@@ -23,7 +23,6 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
@@ -386,29 +385,6 @@ def classify_chunk(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AggregationPlan:
-    map_calls: int
-    merge_calls: int
-
-    @property
-    def total_calls(self) -> int:
-        return self.map_calls + self.merge_calls
-
-
-def plan_aggregation(concern_count: int, budget: int) -> AggregationPlan:
-    """One call when the list fits the budget; otherwise chunked map calls
-    feeding a single merge call over the candidate sub-themes."""
-    if concern_count < 1:
-        raise ValueError("cannot aggregate zero concerns")
-    if budget < 1:
-        raise ValueError("aggregation budget must be >= 1")
-    if concern_count <= budget:
-        return AggregationPlan(map_calls=1, merge_calls=0)
-    maps = -(-concern_count // budget)
-    return AggregationPlan(map_calls=maps, merge_calls=1)
-
-
 def parse_subtheme_output(text: str, theme: str, expected_n: int) -> SubThemeSet:
     """Parse ranked sub-themes; count, rank-permutation and distinct-title
     violations all raise MalformedStageOutput (callers retry)."""
@@ -483,16 +459,14 @@ def run_aggregation(
             config.parity_retries,
         )
 
-    plan = plan_aggregation(len(theme_concerns), config.aggregation_chunk_size)
-    if plan.merge_calls == 0:
+    slices = chunk_slices(len(theme_concerns), config.aggregation_chunk_size)
+    if len(slices) == 1:
         prompt = render_aggregation_prompt(category, theme_concerns, config,
                                            template_dir)
         return ask(prompt, f"agg:{theme}")
 
     candidates: list[SubThemeSet] = []
-    for j, (start, end) in enumerate(
-        chunk_slices(len(theme_concerns), config.aggregation_chunk_size), start=1
-    ):
+    for j, (start, end) in enumerate(slices, start=1):
         prompt = render_aggregation_prompt(
             category, theme_concerns[start:end], config, template_dir
         )

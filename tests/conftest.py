@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +22,31 @@ from quallm.models import (
     ThreadDocument,
 )
 from quallm.pipeline import PipelineRunner, RunPaths
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from study import StudySize, build_study  # noqa: E402
+
+
+def synthetic_study(root, threads=20, chunk=7, concurrency=8) -> SimpleNamespace:
+    """The seed-5 benchmark study under *root*: its file paths, planted
+    counts (``theme_counts``, ``subtheme_counts``) and ``counts``."""
+    root = Path(root)
+    size = StudySize(threads=threads, classification_chunk=chunk, prevalence_chunk=chunk)
+    study = build_study(root, 5, size, concurrency=concurrency)
+    # Seed 5 plants what the end-to-end tests lean on; fail loudly if a
+    # generator change takes it away, rather than let them pass vacuously.
+    script = list(ndjson.iter_records(root / "script.ndjson"))
+    assert any(e["request_tag"].startswith("gen:") and e.get("response_text") == "No concerns"
+               for e in script)
+    assert study.theme_counts["E"] > 0
+    assert {f"agg:{t}" for t in "ABCD"} <= {e["request_tag"] for e in script}
+    return SimpleNamespace(
+        root=root, config_path=root / "run.cfg", run_dir=root / "run",
+        submissions_path=root / "submissions.ndjson",
+        comments_path=root / "comments.ndjson", script_path=root / "script.ndjson",
+        taxonomy_path=root / "taxonomy.json", theme_counts=study.theme_counts,
+        subtheme_counts=study.subtheme_counts, counts=study.counts,
+    )
 
 
 def make_taxonomy(active: int = 4) -> ThemeTaxonomy:

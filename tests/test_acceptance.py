@@ -17,7 +17,6 @@ import pytest
 
 from quallm import ndjson
 from quallm.cli import main
-from quallm.fixtures import build_demo_fixture
 from quallm.metrics import binomial_significance, fleiss_kappa
 from quallm.models import SubThemeEntry, SubThemeSet
 from quallm.pipeline import RunPaths
@@ -25,7 +24,7 @@ from quallm.report import compute_prevalence_table, render_percent
 from quallm.stages import parse_generation_output
 from quallm.topics import TopicParams, coverage_k, distinctness, extract_topics
 
-from conftest import make_group, make_taxonomy, run_letter_stage
+from conftest import make_group, make_taxonomy, run_letter_stage, synthetic_study
 
 
 def passline(number: int, text: str) -> None:
@@ -62,10 +61,8 @@ def test_criterion_1_mock_end_to_end_determinism(tmp_path):
     planted = None
     runs = [("p1", 1), ("p4a", 4), ("p16", 16), ("p4b", 4), ("p4c", 4)]
     for name, workers in runs:
-        fixture = build_demo_fixture(
-            tmp_path / name, thread_count=50, group_size=5, chunk_size=20,
-            concurrency=workers,
-        )
+        fixture = synthetic_study(tmp_path / name, threads=50, chunk=20,
+                                  concurrency=workers)
         planted = fixture
         assert _ingest(fixture) == 0
         assert main(["run-all", "--config", str(fixture.config_path)]) == 0
@@ -405,18 +402,14 @@ def test_criterion_7_contract_enforcement(study, tmp_path):
 
 
 def test_criterion_8_resume_at_every_stage_boundary(tmp_path):
-    baseline = build_demo_fixture(tmp_path / "baseline", thread_count=50,
-                                  group_size=5, chunk_size=20)
+    baseline = synthetic_study(tmp_path / "baseline", threads=50, chunk=20)
     assert _ingest(baseline) == 0
     assert main(["run-all", "--config", str(baseline.config_path)]) == 0
     expected = _outputs(baseline.run_dir)
 
     stages = ["generate", "classify", "aggregate", "prevalence"]
     for boundary in range(1, 5):
-        fixture = build_demo_fixture(
-            tmp_path / f"boundary{boundary}", thread_count=50, group_size=5,
-            chunk_size=20,
-        )
+        fixture = synthetic_study(tmp_path / f"boundary{boundary}", threads=50, chunk=20)
         assert _ingest(fixture) == 0
         # run the first `boundary` stages, then "the process dies"
         for stage in stages[:boundary]:

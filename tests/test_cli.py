@@ -11,15 +11,15 @@ import quallm
 from quallm import ndjson
 from quallm.cli import main
 from quallm.config import load_config
-from quallm.fixtures import build_demo_fixture
 from quallm.gateway import Gateway, MockBackend
 from quallm.pipeline import PipelineRunner, RunPaths
+
+from conftest import synthetic_study
 
 
 @pytest.fixture()
 def fixture(tmp_path):
-    return build_demo_fixture(tmp_path / "demo", thread_count=20, group_size=5,
-                              chunk_size=7)
+    return synthetic_study(tmp_path / "demo")
 
 
 def run_ingest(fixture):
@@ -36,9 +36,9 @@ def run_ingest(fixture):
 def test_ingest_happy_path_prints_counts(fixture, capsys):
     assert run_ingest(fixture) == 0
     out = capsys.readouterr().out
-    assert "submissions parsed: 20" in out
-    assert "threads retained: 20" in out
-    assert "orphan comments dropped: 0" in out
+    assert f"submissions parsed: {fixture.counts['threads']}" in out
+    assert f"threads retained: {fixture.counts['retained']}" in out
+    assert "orphan comments dropped: 3" in out  # the study plants three
     assert fixture.run_dir.joinpath("groups.ndjson").exists()
 
 
@@ -178,8 +178,7 @@ def test_stage_by_stage_cli_matches_run_all(fixture, tmp_path):
         if p.name.endswith((".ndjson", ".json")) and p.name != "llm_log.ndjson"
     }
 
-    other = build_demo_fixture(tmp_path / "demo2", thread_count=20, group_size=5,
-                               chunk_size=7)
+    other = synthetic_study(tmp_path / "demo2")
     assert run_ingest(other) == 0
     assert main(["run-all", "--config", str(other.config_path)]) == 0
     for name, blob in staged.items():
@@ -549,6 +548,19 @@ def test_bad_config_key_exits_2(fixture, tmp_path, capsys):
     rc = main(["generate", "--config", str(config)])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("concurrency=abc", "config line 4: concurrency must be an integer, got 'abc'"),
+    ("backoff_base=fast", "config line 4: backoff_base must be a finite number, got 'fast'"),
+    ("input_rate=nan", "config line 4: input_rate must be a finite number, got 'nan'"),
+], ids=["int", "float", "not-finite"])
+def test_unparseable_number_names_key_and_line(tmp_path, capsys, setting, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"run_dir=x\nbackend=mock\nmock_script=s\n{setting}\n")
+    rc = main(["generate", "--config", str(config)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

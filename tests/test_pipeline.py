@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from quallm import ndjson
-from quallm.fixtures import build_demo_fixture
 from quallm.gateway import Gateway, MockBackend
 from quallm.pipeline import (
     Checkpoint,
@@ -20,6 +19,7 @@ from conftest import (
     make_group,
     make_subthemes,
     scripted_gateway,
+    synthetic_study,
 )
 
 
@@ -38,7 +38,7 @@ def build_runner(fixture, workers=4, run_dir=None):
 @pytest.fixture(scope="module")
 def fixture(tmp_path_factory):
     root = tmp_path_factory.mktemp("demo")
-    return build_demo_fixture(root, thread_count=20, group_size=5, chunk_size=7)
+    return synthetic_study(root)
 
 
 def ingest_into(fixture, run_dir):
@@ -189,7 +189,7 @@ def test_partial_checkpoint_resumes_remaining_units(fixture, tmp_path):
     ingest_into(fixture, run_dir)
     runner, paths, backend = build_runner(fixture, run_dir=run_dir)
     report = runner.stage_generate()
-    assert report.units_total == 4  # 20 threads / 5 per group
+    assert report.units_total == fixture.counts["groups"] == 4
     full_outputs = paths.concerns.read_bytes()
 
     # simulate an interrupt: drop the last two checkpoint entries
@@ -226,6 +226,24 @@ def test_corrupt_checkpoint_line_quarantined_and_unit_recomputed(fixture, tmp_pa
     assert corrupted_key in quarantined
 
 
+def test_ok_checkpoint_line_without_payload_quarantined(fixture, tmp_path):
+    run_dir = tmp_path / "run"
+    ingest_into(fixture, run_dir)
+    runner, paths, _ = build_runner(fixture, run_dir=run_dir)
+    runner.run_all()
+    before = stage_outputs(paths)
+    checkpoint = paths.checkpoint("classify")
+    lines = [line for line in checkpoint.read_text().splitlines()
+             if json.loads(line)["key"] != "1"]
+    checkpoint.write_text("\n".join(lines + ['{"key": "1", "status": "ok"}']) + "\n")
+
+    runner2, paths2, backend2 = build_runner(fixture, run_dir=run_dir)
+    report = runner2.stage_classify()
+    assert (report.executed, report.failed, backend2.calls) == (1, 0, 1)
+    assert paths2.quarantine("classify").read_text() == '{"key": "1", "status": "ok"}\n'
+    assert stage_outputs(paths2) == before
+
+
 def test_checkpoint_last_entry_per_key_wins(tmp_path):
     checkpoint = Checkpoint(tmp_path / "c.ndjson", tmp_path / "q.ndjson")
     checkpoint.append({"key": "u1", "status": "failed", "category": "network",
@@ -257,15 +275,18 @@ def test_input_change_invalidates_stale_checkpoint(fixture, tmp_path):
     runner.stage_classify()
     calls = backend.calls
 
-    # Re-write the concern file with one concern dropped: classify must
-    # discard its checkpoint and re-run rather than trust stale chunks.
+    # Re-write the concern file with the last chunk's concerns dropped:
+    # classify must discard its checkpoint and re-run rather than trust
+    # stale chunks.
     records = list(ndjson.iter_records(paths.concerns))
-    ndjson.write_records(paths.concerns, records[:-1])
+    kept = records[: runner.study.classification_chunk_size]
+    assert len(kept) < len(records)
+    ndjson.write_records(paths.concerns, kept)
     runner2, paths2, backend2 = build_runner(fixture, run_dir=run_dir)
     report = runner2.stage_classify()
     assert report.executed == report.units_total  # full re-run
     assigned = list(ndjson.iter_records(paths2.theme_assignments))
-    assert len(assigned) == len(records) - 1
+    assert len(assigned) == len(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +301,11 @@ def test_failed_units_recorded_and_retry_failed_recovers(fixture, tmp_path):
     # Script a generation unit that exhausts throttling retries on the
     # first pass and succeeds only on the 7th call.
     entries = list(ndjson.iter_records(fixture.script_path))
-    victim_tag = next(e["request_tag"] for e in entries if e["request_tag"].startswith("gen:"))
-    recovery = next(e for e in entries if e["request_tag"] == victim_tag)
+    recovery = next(e for e in entries if e["request_tag"].startswith("gen:")
+                    and e["response_text"] != "No concerns")
+    victim_tag = recovery["request_tag"]
+    recovered = len(json.loads(recovery["response_text"]))
+    assert recovered > 0
     throttles = [{"request_tag": victim_tag, "failure": "throttled"}] * 6
     script = throttles + entries  # queue: 6 throttles, then the real answer
 
@@ -301,7 +325,7 @@ def test_failed_units_recorded_and_retry_failed_recovers(fixture, tmp_path):
     retry_report = runner.stage_generate(retry_failed=True)
     assert retry_report.failed == 0
     concerns_after = len(list(ndjson.iter_records(paths.concerns)))
-    assert concerns_after == concerns_before + 5  # recovered group's concerns
+    assert concerns_after == concerns_before + recovered
 
 
 def test_classification_failures_conserve_concerns(fixture, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -8,14 +9,12 @@ from quallm import ndjson
 from quallm.gateway import GatewayFailure
 from quallm.models import SubThemeSet
 from quallm.stages import (
-    AggregationPlan,
     MalformedStageOutput,
     check_parity,
     generate_for_group,
     parse_generation_output,
     parse_serial_letter_map,
     parse_subtheme_output,
-    plan_aggregation,
     run_aggregation,
     strip_code_fences,
     verify_quote,
@@ -442,13 +441,25 @@ def _subtheme_json(n=5, title_prefix="pattern"):
     )
 
 
-def test_plan_aggregation_schedules():
-    assert plan_aggregation(5, 400).total_calls == 1
-    plan = plan_aggregation(24_721, 400)
-    assert plan.map_calls == 62
-    assert plan.merge_calls == 1
-    assert plan_aggregation(400, 400).merge_calls == 0
-    assert plan_aggregation(401, 400).map_calls == 2
+@pytest.mark.parametrize(
+    "concerns, budget, maps",
+    [(400, 400, 0), (401, 400, 2), (24_721, 400, 62)],
+    ids=["fits", "one-over", "paper-scale"],
+)
+def test_aggregation_schedule_call_counts(study, concerns, budget, maps):
+    # One agg:A call while the list fits the budget, else chunked map
+    # calls and one merge; an unscripted tag would fail the theme.
+    reply = _subtheme_json()
+    tags = ["agg:A"]
+    if maps:
+        tags = [f"agg:A:map:{j}" for j in range(1, maps + 1)] + ["agg:A:merge"]
+    gateway = scripted_gateway([{"request_tag": t, "response_text": reply} for t in tags])
+    config = dataclasses.replace(study, aggregation_chunk_size=budget)
+    outcome = run_aggregation(
+        gateway, study.taxonomy.categories[0], _concerns(concerns), config
+    )
+    assert not isinstance(outcome, GatewayFailure)
+    assert gateway.backend.calls == len(tags)
 
 
 def test_aggregation_single_call_accepted(study):
@@ -518,7 +529,6 @@ def test_aggregation_map_reduce_schedule_executes(study):
         gateway, study.taxonomy.categories[0], _concerns(10), study
     )
     assert not isinstance(outcome, GatewayFailure)
-    assert plan_aggregation(10, 4) == AggregationPlan(map_calls=3, merge_calls=1)
     assert outcome.by_rank()[0].title == "final 1"
     assert gateway.backend.calls == 4
 
