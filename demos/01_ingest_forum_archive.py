@@ -21,7 +21,12 @@ from quallm.ingest import (
 
 
 def main() -> None:
-    scratch = Path(tempfile.mkdtemp(prefix="quallm-demo-ingest-"))
+    # The dumps and run live only as long as the demo.
+    with tempfile.TemporaryDirectory(prefix="quallm-demo-ingest-") as scratch:
+        walkthrough(Path(scratch))
+
+
+def walkthrough(scratch: Path) -> None:
     build_study(scratch, 5, StudySize(threads=20))
     print(f"synthetic dumps under {scratch}\n")
 

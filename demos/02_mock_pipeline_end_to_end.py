@@ -19,7 +19,12 @@ from quallm.cli import main as quallm  # noqa: E402
 
 
 def main() -> None:
-    scratch = Path(tempfile.mkdtemp(prefix="quallm-demo-pipeline-"))
+    # The study and run live only as long as the demo.
+    with tempfile.TemporaryDirectory(prefix="quallm-demo-pipeline-") as scratch:
+        walkthrough(Path(scratch))
+
+
+def walkthrough(scratch: Path) -> None:
     study = build_study(scratch, 5, StudySize(threads=50))
     config, run_dir = str(scratch / "run.cfg"), scratch / "run"
     print(f"study directory: {scratch}")

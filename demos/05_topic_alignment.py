@@ -62,23 +62,24 @@ def main() -> None:
         print(f"coverage(k={k}): {coverage_k(assigned, model, k, n=5):.2f}")
 
     print("\n--- same evaluation over a full mock run directory ---")
-    scratch = Path(tempfile.mkdtemp(prefix="quallm-demo-topics-"))
-    build_study(scratch, 5, StudySize(threads=50))
-    config = str(scratch / "run.cfg")
-    quallm([
-        "ingest",
-        "--config", config,
-        "--submissions", str(scratch / "submissions.ndjson"),
-        "--comments", str(scratch / "comments.ndjson"),
-    ])
-    quallm(["run-all", "--config", config])
+    with tempfile.TemporaryDirectory(prefix="quallm-demo-topics-") as tmp:
+        scratch = Path(tmp)
+        build_study(scratch, 5, StudySize(threads=50))
+        config = str(scratch / "run.cfg")
+        quallm([
+            "ingest",
+            "--config", config,
+            "--submissions", str(scratch / "submissions.ndjson"),
+            "--comments", str(scratch / "comments.ndjson"),
+        ])
+        quallm(["run-all", "--config", config])
 
-    evaluation = evaluate_aggregation(scratch / "run", TopicParams(min_topic_size=1))
-    print(f"\nthemes evaluated: {[t.theme for t in evaluation.per_theme]}")
-    print(f"mean distinctness:   {evaluation.mean_distinctness:.2f}")
-    print(f"pooled distinctness: {evaluation.pooled_distinctness:.2f}")
-    for k in sorted(evaluation.mean_coverage):
-        print(f"mean coverage({k}):    {evaluation.mean_coverage[k]:.2f}")
+        evaluation = evaluate_aggregation(scratch / "run", TopicParams(min_topic_size=1))
+        print(f"\nthemes evaluated: {[t.theme for t in evaluation.per_theme]}")
+        print(f"mean distinctness:   {evaluation.mean_distinctness:.2f}")
+        print(f"pooled distinctness: {evaluation.pooled_distinctness:.2f}")
+        for k in sorted(evaluation.mean_coverage):
+            print(f"mean coverage({k}):    {evaluation.mean_coverage[k]:.2f}")
     print(
         "\n(The synthetic study's concern texts share one template per"
         " theme, so each theme collapses to a single topic and all five"

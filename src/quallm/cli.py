@@ -148,10 +148,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def _run_stages(args: argparse.Namespace, stage_names: Sequence[str]) -> int:
     runner = _runner(*_load(args))
     reports = []
-    for name in stage_names:
-        report = runner.run_stage(name)
-        _print_stage(report)
-        reports.append(report)
+    with runner.gateway:
+        for name in stage_names:
+            report = runner.run_stage(name)
+            _print_stage(report)
+            reports.append(report)
     return _stage_exit(reports)
 
 
@@ -164,7 +165,8 @@ def cmd_retry_failed(args: argparse.Namespace) -> int:
         if summary.exists():
             before[stage] = ndjson.read_json(summary).get("failed", 0)
 
-    reports = runner.retry_failed()
+    with runner.gateway:
+        reports = runner.retry_failed()
     for report in reports:
         previous = before.get(report.stage, report.failed)
         print(

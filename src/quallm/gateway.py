@@ -19,6 +19,13 @@ lock, adds the line's counts to ``Gateway.tokens``; ``logged_tokens``
 sums a log's ``ok`` lines back, so a stage's token line and the cost
 report add up the same counts.
 
+The run log is held open from the first call until ``close``.  Each line
+reaches the kernel in one write before ``complete`` returns, so a killed
+process loses no logged call, but no call fsyncs: the line becomes
+durable at the next ``sync``.  The pipeline runner syncs the log when it
+commits finished units (and at least once a second while units run), so
+no checkpoint record becomes durable before the log lines of its calls.
+
 All workers of one ``Gateway`` share one throttle gate.  A 429 that
 carries a server retry hint (``retry-after-ms``, else ``Retry-After``
 delta-seconds, RFC 9110 section 10.2.3) closes the gate until the hint
@@ -377,6 +384,7 @@ class Gateway:
     (see the module docstring).  Every outcome is appended to the run log
     when one is configured, and ``tokens`` holds the (input, output)
     totals of every outcome so far; only ``ok`` outcomes carry tokens.
+    ``close`` (or leaving a ``with`` block) syncs and closes the log.
     """
 
     def __init__(
@@ -396,6 +404,7 @@ class Gateway:
         self._sleep = sleep
         self._rng = random.Random(seed)
         self._log_lock = threading.Lock()
+        self._log_file: Optional[ndjson.Appender] = None  # opened by the first call
         self._clock = clock
         self._gate_lock = threading.Lock()
         self._opens = -math.inf  # clock time before which no send starts
@@ -430,8 +439,10 @@ class Gateway:
                            self.tokens[1] + output_tokens)
             if self.run_log_path is None:
                 return
+            if self._log_file is None:
+                self._log_file = ndjson.Appender(self.run_log_path)
             ndjson.append_record(
-                self.run_log_path,
+                self._log_file,
                 {
                     "request_tag": tag,
                     "outcome": outcome,
@@ -442,6 +453,28 @@ class Gateway:
                     "waited_s": round(waited_s, 6),
                 },
             )
+
+    def sync(self) -> None:
+        """Make every run-log line written so far durable."""
+        with self._log_lock:
+            log = self._log_file
+        # Outside the lock, so calls keep logging while the disk flushes.
+        if log is not None:
+            log.sync()
+
+    def close(self) -> None:
+        """Sync and close the run log; a later call opens it again."""
+        with self._log_lock:
+            log, self._log_file = self._log_file, None
+        if log is not None:
+            log.sync()
+            log.close()
+
+    def __enter__(self) -> "Gateway":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def complete(self, prompt: str, tag: str) -> CompletionOutcome:
         attempts = throttled = 0

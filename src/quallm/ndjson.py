@@ -47,18 +47,45 @@ def write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def append_text(path: Path, text: str) -> None:
-    """Append *text* and fsync it so a crash loses at most the last line."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
+class Appender:
+    """An append-only file held open (``O_APPEND``) for many writes.
+
+    Each ``write`` hands its whole text to the kernel in one ``os.write``
+    before it returns, so a killed process loses nothing written.  Nothing
+    is durable until ``sync``: an operating-system crash may lose, or tear,
+    whatever was written after the last ``sync``.  The file is created on
+    open.
+    """
+
+    def __init__(self, path: Path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.path = path
+        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+
+    def write(self, text: str) -> None:
+        data = text.encode("utf-8")
+        # A regular file takes the whole buffer unless the disk is full.
+        while data:
+            data = data[os.write(self._fd, data):]
+
+    def sync(self) -> None:
+        os.fsync(self._fd)
+
+    def close(self) -> None:
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+    def __enter__(self) -> "Appender":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
-def append_record(path: Path, record: Any) -> None:
-    """Append one record, as append_text does."""
-    append_text(path, dumps(record) + "\n")
+def append_record(out: Appender, record: Any) -> None:
+    """Write one record as one line to *out*; durable at its next sync."""
+    out.write(dumps(record) + "\n")
 
 
 def iter_records(path: Path) -> Iterator[Any]:

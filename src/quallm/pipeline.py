@@ -27,7 +27,9 @@ A command run before the stage that writes its input raises
 
 Units (groups, chunks, themes) checkpoint as they complete; a resumed
 run skips completed units, and a finished stage re-invocation performs
-no backend calls and rewrites identical outputs. If a stage's inputs
+no backend calls and rewrites identical outputs. A checkpoint record
+whose payload lacks what its stage reads is quarantined like a corrupt
+line, so its unit re-runs. If a stage's inputs
 changed since its checkpoint was written (for example after
 retry-failed added concerns upstream), the stale checkpoint is
 discarded and the stage re-runs from scratch.
@@ -38,6 +40,24 @@ renamed), so a crash mid-write leaves the previous version; aggregate
 removes the ``subthemes_<L>.json`` of every theme it did not write in
 that run, so a theme that lost its concerns, or whose aggregation now
 fails, reaches neither prevalence nor report nor eval.
+
+Durability (group commit).  While units run, the runner's commit is the
+only place that fsyncs.  Workers write run-log lines without syncing; the main thread
+collects every unit that has finished since its last commit, fsyncs the
+run log, then writes the batch's checkpoint records in one write and one
+fsync.  So:
+
+- a killed process loses nothing it wrote: every log line and record
+  reaches the kernel in one write before its call or commit returns;
+- no checkpoint record becomes durable before the log lines of its
+  unit's calls;
+- a unit counts as executed only once its record is durable;
+- while no unit finishes, the log is still synced once a second;
+- an operating-system crash loses at most what was written since the
+  last sync: those units have no durable record and re-run on resume;
+- on an exception in the main thread (``KeyboardInterrupt`` included),
+  the runner cancels the units not started, waits for the running ones,
+  commits every finished unit, syncs, and re-raises.
 """
 
 from __future__ import annotations
@@ -46,11 +66,12 @@ import functools
 import hashlib
 import json
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import queue
+from contextlib import closing
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from . import ndjson
 from .gateway import Gateway, GatewayFailure
@@ -142,16 +163,30 @@ class RunPaths:
 # ---------------------------------------------------------------------------
 
 
+# Seconds the runner waits for a finished unit before it syncs the run log
+# anyway; bounds how long a logged call stays unsynced.
+SYNC_INTERVAL_S = 1.0
+
+
 class Checkpoint:
-    """Append-only per-unit progress log; the last entry per key wins."""
+    """Append-only per-unit progress log; the last entry per key wins.
+
+    ``append`` commits a batch of records: one write, one fsync.  The file
+    is held open from the first ``append`` until ``close``.
+    """
 
     def __init__(self, path: Path, quarantine_path: Path):
         self.path = path
         self.quarantine_path = quarantine_path
-        self._lock = threading.Lock()
+        self._file: Optional[ndjson.Appender] = None
 
-    def load(self) -> dict[str, dict]:
-        """Read entries, quarantining corrupt lines so their units re-run."""
+    def load(self, check: Callable[[dict], Any] = lambda payload: None) -> dict[str, dict]:
+        """Read entries, quarantining corrupt lines so their units re-run.
+
+        ``check(payload)`` raises KeyError, TypeError or ValueError for an
+        ``ok`` payload that lacks what the stage reads; its line is
+        quarantined too.
+        """
         if not self.path.exists():
             return {}
         entries: dict[str, dict] = {}
@@ -168,8 +203,10 @@ class Checkpoint:
                     status = record["status"]
                     if status not in ("ok", "failed"):
                         raise ValueError(f"bad status {status!r}")
-                    if status == "ok" and not isinstance(record.get("payload"), dict):
-                        raise ValueError("ok entry without a payload object")
+                    if status == "ok":
+                        if not isinstance(record.get("payload"), dict):
+                            raise ValueError("ok entry without a payload object")
+                        check(record["payload"])
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     bad_lines.append(stripped)
                     continue
@@ -180,21 +217,53 @@ class Checkpoint:
                 "%s: quarantined %d corrupt checkpoint line(s)",
                 self.path.name, len(bad_lines),
             )
-            ndjson.append_text(
-                self.quarantine_path, "".join(line + "\n" for line in bad_lines)
-            )
+            with ndjson.Appender(self.quarantine_path) as out:
+                out.write("".join(line + "\n" for line in bad_lines))
+                out.sync()
             ndjson.write_text(
                 self.path, "".join(line + "\n" for line in good_lines)
             )
         return entries
 
-    def append(self, record: dict) -> None:
-        with self._lock:
-            ndjson.append_record(self.path, record)
+    def append(self, records: Sequence[dict]) -> None:
+        """Commit *records*: they are durable when this returns."""
+        if self._file is None:
+            self._file = ndjson.Appender(self.path)
+        self._file.write("".join(ndjson.dumps(record) + "\n" for record in records))
+        self._file.sync()
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     def discard(self) -> None:
         if self.path.exists():
             self.path.unlink()
+
+
+def _check_concerns(payload: dict) -> None:
+    for concern in payload["concerns"]:
+        Concern.from_dict(concern)
+
+
+def _check_subthemes(payload: dict) -> None:
+    SubThemeSet.from_dict(payload["subthemes"])
+
+
+def _assignment_check(themed: bool) -> Callable[[dict], None]:
+    """The payload check of a letter-chunk stage; a *themed* stage's
+    assignments carry their theme."""
+    fields = ("concern_id", "code", "theme") if themed else ("concern_id", "code")
+
+    def check(payload: dict) -> None:
+        if type(payload.get("remapped", 0)) is not int:
+            raise TypeError("remapped must be an integer")
+        for assignment in payload["assignments"]:
+            if not all(isinstance(assignment[name], str) for name in fields):
+                raise TypeError(f"assignment fields {fields} must be strings")
+
+    return check
 
 
 def _fingerprint(paths: Iterable[Path]) -> str:
@@ -275,11 +344,13 @@ class PipelineRunner:
         stage: str,
         units: Sequence[tuple[str, Callable[[], dict]]],
         input_files: Sequence[Path],
-        retry_failed: bool = False,
+        retry_failed: bool,
+        check: Callable[[dict], Any],
     ) -> tuple[list[dict], StageReport]:
         """Run the pending *units*, each returning its checkpoint record;
         return the entries in unit order (units with no entry left out) and
-        the stage report."""
+        the stage report.  *check* is the stage's payload check (see
+        ``Checkpoint.load``)."""
         checkpoint = Checkpoint(self.paths.checkpoint(stage),
                                 self.paths.quarantine(stage))
         checkpoint.path.parent.mkdir(parents=True, exist_ok=True)
@@ -296,7 +367,7 @@ class PipelineRunner:
                 checkpoint.discard()
         ndjson.write_text(meta_path, json.dumps({"input_fingerprint": fingerprint}) + "\n")
 
-        done = checkpoint.load()
+        done = checkpoint.load(check)
         pending = [
             (key, fn)
             for key, fn in units
@@ -304,20 +375,7 @@ class PipelineRunner:
         ]
 
         tokens_before = self.gateway.tokens
-        executed = 0
-        if pending:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [pool.submit(fn) for _, fn in pending]
-                try:
-                    for future in as_completed(futures):
-                        record = future.result()
-                        checkpoint.append(record)
-                        done[record["key"]] = record
-                        executed += 1
-                except KeyboardInterrupt:
-                    # Completed units are already checkpointed; drop the rest.
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
+        executed = self._execute([fn for _, fn in pending], checkpoint, done)
         tokens_after = self.gateway.tokens
 
         entries = [done[key] for key, _ in units if key in done]
@@ -339,6 +397,66 @@ class PipelineRunner:
                     tokens_after[1] - tokens_before[1]),
         )
         return entries, report
+
+    def _execute(self, fns: Sequence[Callable[[], dict]], checkpoint: Checkpoint,
+                 done: dict[str, dict]) -> int:
+        """Run *fns* in the worker pool, group-committing their records as
+        they finish (see the module docstring); return how many committed."""
+        # Each future puts itself here once, when it finishes or is cancelled.
+        finished: queue.SimpleQueue[Future] = queue.SimpleQueue()
+        batch: list[Future] = []
+        executed = 0
+        with closing(checkpoint), ThreadPoolExecutor(max_workers=self.workers) as pool:
+            try:
+                for fn in fns:
+                    pool.submit(fn).add_done_callback(finished.put)
+                remaining = len(fns)
+                while remaining:
+                    try:
+                        batch.append(finished.get(timeout=SYNC_INTERVAL_S))
+                    except queue.Empty:
+                        self.gateway.sync()
+                        continue
+                    while not finished.empty():
+                        batch.append(finished.get_nowait())
+                    remaining -= len(batch)
+                    executed += self._commit(checkpoint, batch, done)
+            except BaseException:
+                # Commit what finished, the units still running included.
+                pool.shutdown(wait=True, cancel_futures=True)
+                while not finished.empty():
+                    batch.append(finished.get_nowait())
+                self._commit(checkpoint, batch, done, raise_errors=False)
+                self.gateway.sync()
+                raise
+        return executed
+
+    def _commit(self, checkpoint: Checkpoint, batch: list[Future],
+                done: dict[str, dict], raise_errors: bool = True) -> int:
+        """Make the records of the finished futures in *batch* durable, the
+        run log first, and empty *batch*; return how many were committed.
+
+        A cancelled unit or one that raised has no record; with
+        *raise_errors*, the first such error is raised after the commit.
+        """
+        records, errors = [], []
+        for future in batch:
+            if future.cancelled():
+                continue
+            error = future.exception()
+            if error is None:
+                records.append(future.result())
+            else:
+                errors.append(error)
+        if records:
+            self.gateway.sync()
+            checkpoint.append(records)
+            for record in records:
+                done[record["key"]] = record
+        batch.clear()
+        if errors and raise_errors:
+            raise errors[0]
+        return len(records)
 
     def _run_letter_chunks(
         self,
@@ -365,7 +483,8 @@ class PipelineRunner:
                 units.append((key, functools.partial(
                     _letter_unit, key, theme, index, concerns[start:end], call
                 )))
-        entries, report = self._run_units(stage, units, input_files, retry_failed)
+        check = _assignment_check(themed=any(theme for theme, _, _ in themes))
+        entries, report = self._run_units(stage, units, input_files, retry_failed, check)
 
         assignments: list[dict] = []
         remapped = 0
@@ -408,7 +527,7 @@ class PipelineRunner:
 
         units = [(g.group_key, functools.partial(generate, g)) for g in groups]
         entries, report = self._run_units(
-            STAGE_GENERATE, units, [self.paths.groups], retry_failed
+            STAGE_GENERATE, units, [self.paths.groups], retry_failed, _check_concerns
         )
 
         concerns: list[dict] = []
@@ -478,6 +597,7 @@ class PipelineRunner:
             units,
             [self.paths.theme_assignments, self.paths.concerns],
             retry_failed,
+            _check_subthemes,
         )
 
         written = []

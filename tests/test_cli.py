@@ -42,6 +42,23 @@ def test_ingest_happy_path_prints_counts(fixture, capsys):
     assert fixture.run_dir.joinpath("groups.ndjson").exists()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_commands_leave_no_file_open_in_the_run_dir(fixture):
+    assert run_ingest(fixture) == 0
+    for command in ("run-all", "report", "cost"):
+        assert main([command, "--config", str(fixture.config_path)]) == 0
+    run_dir = str(fixture.run_dir.resolve()) + os.sep
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the descriptor listdir itself used
+            continue
+        if target.startswith(run_dir):
+            held.append(target)
+    assert held == []
+
+
 def test_ingest_missing_input_exits_2(fixture, capsys):
     rc = main(
         [

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import time
 
 import pytest
 
@@ -167,6 +168,29 @@ def test_hintless_throttles_spend_attempts_and_are_logged(tmp_path):
     assert line["attempts"] == 6
     assert line["throttled"] == 6
     assert line["waited_s"] == pytest.approx(sum(gateway.slept))
+
+
+def test_log_line_is_in_the_file_when_complete_returns(tmp_path):
+    # The log is held open and synced only on commit, yet each line has
+    # reached the file (read here while the handle is still open).
+    log = tmp_path / "llm_log.ndjson"
+    gateway = scripted_gateway([_counted("t", 3, 4), {"request_tag": "u", "failure":
+                                                      "content_filtered"}],
+                               run_log_path=log)
+    assert not log.exists()  # opened by the first call
+    gateway.complete(*req("t"))
+    (line,) = [json.loads(l) for l in log.read_text().splitlines()]
+    assert (line["request_tag"], line["outcome"], line["input_tokens"]) == ("t", "ok", 3)
+    gateway.complete(*req("u"))
+    assert [json.loads(l)["outcome"] for l in log.read_text().splitlines()] == [
+        "ok", "content_filtered"]
+    gateway.sync()
+    with gateway:
+        gateway.complete(*req("t"))
+    # Closed on leaving the block; a later call opens the log again.
+    gateway.complete(*req("t"))
+    gateway.close()
+    assert len(log.read_text().splitlines()) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +433,14 @@ def test_ledger_concurrent_updates_do_not_lose_counts(tmp_path):
     try:
         for t in threads:
             t.start()
+        deadline = time.monotonic() + 60
+        while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+            gateway.sync()  # as the runner's commits do, while calls log
         for t in threads:
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+        gateway.close()
     assert not any(t.is_alive() for t in threads)
     assert gateway.tokens == logged_tokens(log) == (8000, 16000)
 

@@ -1,12 +1,16 @@
 import json
+import shutil
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from quallm import ndjson
+from quallm import ndjson, pipeline
 from quallm.gateway import Gateway, MockBackend
 from quallm.pipeline import (
+    STAGES,
     Checkpoint,
     PipelineOrderError,
     PipelineRunner,
@@ -244,13 +248,63 @@ def test_ok_checkpoint_line_without_payload_quarantined(fixture, tmp_path):
     assert stage_outputs(paths2) == before
 
 
+def _drop_concern_field(payload):
+    del payload["concerns"][0]["concern_id"]
+
+
+def _drop_assignment_field(name):
+    def drop(payload):
+        del payload["assignments"][0][name]
+
+    return drop
+
+
+def _drop_subtheme_entries(payload):
+    del payload["subthemes"]["entries"]
+
+
+@pytest.mark.parametrize("stage, damage", [
+    ("generate", _drop_concern_field),
+    ("classify", _drop_assignment_field("code")),
+    ("aggregate", _drop_subtheme_entries),
+    ("prevalence", _drop_assignment_field("theme")),
+])
+def test_ok_checkpoint_line_missing_what_its_stage_reads_quarantined(
+        fixture, tmp_path, stage, damage):
+    # A classify assignment without "code" used to pass classify and then
+    # crash aggregate with KeyError: 'code'.
+    run_dir = tmp_path / "run"
+    ingest_into(fixture, run_dir)
+    runner, paths, _ = build_runner(fixture, run_dir=run_dir)
+    runner.run_all()
+    runner.gateway.close()
+    before = stage_outputs(paths)
+    checkpoint = paths.checkpoint(stage)
+    records = list(ndjson.iter_records(checkpoint))
+    # The first ok record; for generate, the first with concerns.
+    damaged = next(r for r in records if r["status"] == "ok"
+                   and r["payload"].get("concerns", True))
+    damage(damaged["payload"])
+    ndjson.write_records(checkpoint, records)
+
+    runner2, paths2, backend2 = build_runner(fixture, run_dir=run_dir)
+    reports = runner2.run_all()
+    assert [r.executed for r in reports] == [int(s == stage) for s in STAGES]
+    assert backend2.calls >= 1
+    assert paths2.quarantine(stage).read_text() == ndjson.dumps(damaged) + "\n"
+    assert stage_outputs(paths2) == before
+
+
 def test_checkpoint_last_entry_per_key_wins(tmp_path):
     checkpoint = Checkpoint(tmp_path / "c.ndjson", tmp_path / "q.ndjson")
-    checkpoint.append({"key": "u1", "status": "failed", "category": "network",
-                       "detail": "", "attempts": 6, "payload": {}})
-    checkpoint.append({"key": "u1", "status": "ok", "payload": {"x": 1}})
+    checkpoint.append([{"key": "u1", "status": "failed", "category": "network",
+                        "detail": "", "attempts": 6, "payload": {}},
+                       {"key": "u2", "status": "ok", "payload": {"x": 2}}])
+    checkpoint.append([{"key": "u1", "status": "ok", "payload": {"x": 1}}])
+    checkpoint.close()
     entries = checkpoint.load()
     assert entries["u1"]["status"] == "ok"
+    assert entries["u2"]["payload"] == {"x": 2}
 
 
 def test_write_records_failure_keeps_old_file(tmp_path):
@@ -456,3 +510,180 @@ def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
         assert (report.executed, report.failed) == (0, 1)
         assert paths.summary(stage).read_bytes() == summary
     assert resumed.gateway.backend.calls == 0
+
+
+# ---------------------------------------------------------------------------
+# group commit: what an operating-system crash or an interrupt leaves
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def study50(tmp_path_factory):
+    return synthetic_study(tmp_path_factory.mktemp("study50"), threads=50)
+
+
+def _tag(stage, key):
+    """The request tag of the one call a generate or classify unit makes."""
+    return {"generate": "gen:", "classify": "cls:"}[stage] + key
+
+
+def _latency(backend, seconds):
+    """Make every send of *backend* take at least *seconds*."""
+    send = backend.send
+
+    def slow(prompt, tag):
+        time.sleep(seconds)
+        return send(prompt, tag)
+
+    backend.send = slow
+
+
+def _recording(backend):
+    """Record the tag of every send of *backend* in the returned list."""
+    send, tags = backend.send, []
+
+    def record(prompt, tag):
+        tags.append(tag)
+        return send(prompt, tag)
+
+    backend.send = record
+    return tags
+
+
+def _finished_run(paths):
+    files = [paths.concerns, paths.theme_assignments, paths.subtheme_assignments]
+    files += paths.subtheme_files() + sorted((paths.run_dir / "summaries").glob("*.json"))
+    return {str(f.relative_to(paths.run_dir)): f.read_bytes() for f in files}
+
+
+def test_os_crash_keeps_only_synced_bytes_and_resume_recovers(study50, tmp_path,
+                                                              monkeypatch):
+    # Each file's synced length is tracked through the append handle, and
+    # the synced lengths of every file are snapshotted after each commit.
+    synced: dict[Path, int] = {}
+    commits: list[tuple[str, dict[Path, int], int]] = []  # stage, lengths, records
+    write, sync, append = ndjson.Appender.write, ndjson.Appender.sync, Checkpoint.append
+
+    def tracked_write(self, text):
+        synced.setdefault(self.path, self.path.stat().st_size)
+        write(self, text)
+
+    def tracked_sync(self):
+        size = self.path.stat().st_size
+        sync(self)
+        synced[self.path] = size
+
+    def tracked_append(self, records):
+        append(self, records)
+        done = commits[-1][2] if commits and commits[-1][0] == self.path.stem else 0
+        commits.append((self.path.stem, dict(synced), done + len(records)))
+
+    monkeypatch.setattr(ndjson.Appender, "write", tracked_write)
+    monkeypatch.setattr(ndjson.Appender, "sync", tracked_sync)
+    monkeypatch.setattr(Checkpoint, "append", tracked_append)
+
+    run_dir = tmp_path / "run"
+    ingest_into(study50, run_dir)
+    runner, paths, backend = build_runner(study50, workers=1, run_dir=run_dir)
+    _latency(backend, 0.01)  # so units finish, and commit, about one at a time
+    after = {}
+    for stage in STAGES:
+        runner.run_stage(stage)
+        after[stage] = tmp_path / f"after-{stage}"
+        shutil.copytree(run_dir, after[stage])
+    runner.gateway.close()
+    finished = _finished_run(paths)
+    log_tags = Counter(r["request_tag"] for r in ndjson.iter_records(paths.llm_log))
+    monkeypatch.undo()
+
+    for stage, output in (("generate", "concerns.ndjson"),
+                          ("classify", "theme_assignments.ndjson")):
+        snapshots = [(lengths, done) for name, lengths, done in commits if name == stage]
+        assert len(snapshots) >= 2
+        for k in sorted({1, len(snapshots) // 2, len(snapshots) - 1}):
+            # The run directory as an OS crash right after commit k leaves it:
+            # appended files cut to their synced length, the checkpoint with
+            # half of its next (unsynced) line, the stage's outputs not written.
+            crash = tmp_path / f"crash-{stage}-{k}"
+            shutil.copytree(after[stage], crash)
+            crashed = RunPaths(crash)
+            (crash / output).unlink()
+            crashed.summary(stage).unlink()
+            lengths, committed = snapshots[k - 1]
+            for path, length in lengths.items():
+                target = crash / path.relative_to(run_dir)
+                target.write_bytes(target.read_bytes()[:length])
+            checkpoint = crashed.checkpoint(stage)
+            rest = after[stage].joinpath(checkpoint.relative_to(crash)).read_bytes()
+            next_line = rest[checkpoint.stat().st_size:].split(b"\n")[0]
+            torn = next_line[: len(next_line) // 2]
+            with checkpoint.open("ab") as fh:
+                fh.write(torn)
+
+            records = [json.loads(line) for line in
+                       checkpoint.read_bytes().splitlines()[:-1]]
+            assert len(records) == committed  # a commit is durable when it returns
+            survived = Counter(r["request_tag"] for r in ndjson.iter_records(crashed.llm_log))
+            for record in records:
+                tag = _tag(stage, record["key"])
+                assert survived[tag] == log_tags[tag] > 0
+
+            runner2, _, backend2 = build_runner(study50, run_dir=crash)
+            tags = _recording(backend2)
+            report = runner2.run_stage(stage)
+            recorded = {r["key"] for r in records}
+            assert report.executed == report.units_total - len(recorded)
+            assert crashed.quarantine(stage).read_bytes() == torn + b"\n"
+            rerun = [json.loads(line)["key"] for line in
+                     checkpoint.read_text().splitlines()[len(records):]]
+            assert len(set(rerun)) == len(rerun) and recorded.isdisjoint(rerun)
+            assert len(rerun) == report.executed
+            assert set(tags) == {_tag(stage, key) for key in rerun}
+            runner2.run_all()
+            runner2.gateway.close()
+            assert _finished_run(crashed) == finished
+
+
+def test_interrupt_commits_every_finished_unit(study50, tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    ingest_into(study50, run_dir)
+    runner, paths, backend = build_runner(study50, workers=4, run_dir=run_dir)
+    send, calls, lock = backend.send, [], threading.Lock()
+    interrupted = threading.Event()
+
+    def send_or_interrupt(prompt, tag):
+        with lock:
+            calls.append(tag)
+            number = len(calls)
+        if number == 6:
+            interrupted.set()
+            raise KeyboardInterrupt
+        time.sleep(0.02)  # the other workers are mid-call at the interrupt
+        return send(prompt, tag)
+
+    backend.send = send_or_interrupt
+    finished, late = [], []
+    generate_for_group = pipeline.generate_for_group
+
+    def tracked(gateway, group, *args):
+        result = generate_for_group(gateway, group, *args)
+        (late if interrupted.is_set() else finished).append(group.group_key)
+        return result
+
+    monkeypatch.setattr(pipeline, "generate_for_group", tracked)
+    with pytest.raises(KeyboardInterrupt):
+        runner.stage_generate()
+    runner.gateway.close()
+    assert late  # units that finished during the shutdown
+    recorded = [r["key"] for r in ndjson.iter_records(paths.checkpoint("generate"))]
+    assert sorted(recorded) == sorted(finished + late)
+    logged = {r["request_tag"] for r in ndjson.iter_records(paths.llm_log)}
+    assert logged == {_tag("generate", key) for key in recorded}
+
+    runner2, _, backend2 = build_runner(study50, run_dir=run_dir)
+    tags = _recording(backend2)
+    report = runner2.stage_generate()
+    runner2.gateway.close()
+    everyone = {group["group_key"] for group in ndjson.iter_records(paths.groups)}
+    assert report.executed == len(everyone) - len(recorded)
+    assert sorted(tags) == sorted(_tag("generate", key) for key in everyone - set(recorded))
