@@ -123,7 +123,8 @@ class Concern:
     """One extracted concern: title, short description and supporting quote.
 
     ``quote_check`` is filled in after quote verification and is one of
-    "verbatim", "fuzzy" or "absent" (or None before verification).
+    "verbatim", "fuzzy" or "absent" (or None before verification). The
+    quote may be empty: the check then finds it absent.
     """
 
     concern_id: str
@@ -135,10 +136,11 @@ class Concern:
     quote_check: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in ("title", "description", "quote"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"concern {self.concern_id!r}: {name} must be a string")
         if not self.title:
             raise ValueError("concern title must be non-empty")
-        if not self.quote:
-            raise ValueError(f"concern {self.concern_id!r}: quote must be non-empty")
 
     def to_dict(self) -> dict[str, Any]:
         return {

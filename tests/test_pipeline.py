@@ -252,6 +252,10 @@ def _drop_concern_field(payload):
     del payload["concerns"][0]["concern_id"]
 
 
+def _set_concern_title(payload):
+    payload["concerns"][0]["title"] = 3
+
+
 def _drop_assignment_field(name):
     def drop(payload):
         del payload["assignments"][0][name]
@@ -265,6 +269,7 @@ def _drop_subtheme_entries(payload):
 
 @pytest.mark.parametrize("stage, damage", [
     ("generate", _drop_concern_field),
+    ("generate", _set_concern_title),
     ("classify", _drop_assignment_field("code")),
     ("aggregate", _drop_subtheme_entries),
     ("prevalence", _drop_assignment_field("theme")),
@@ -520,6 +525,18 @@ def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
 @pytest.fixture(scope="module")
 def study50(tmp_path_factory):
     return synthetic_study(tmp_path_factory.mktemp("study50"), threads=50)
+
+
+def test_generate_quote_check_counts(study50, tmp_path):
+    # The counts before members were checked raw first and normalised only
+    # when a quote needed it: that change kept every outcome.
+    run_dir = tmp_path / "run"
+    ingest_into(study50, run_dir)
+    runner, paths, _ = build_runner(study50, run_dir=run_dir)
+    runner.stage_generate()
+    runner.gateway.close()
+    summary = json.loads(paths.summary("generate").read_text(encoding="utf-8"))
+    assert summary["quote_checks"] == {"absent": 3, "fuzzy": 5, "verbatim": 31}
 
 
 def _tag(stage, key):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from quallm.gateway import GatewayFailure
 from quallm.models import SubThemeSet
 from quallm.stages import (
     MalformedStageOutput,
+    _attach_quote_checks,
     check_parity,
     generate_for_group,
     parse_generation_output,
@@ -65,6 +67,16 @@ def test_parse_generation_missing_field_is_malformed():
         parse_generation_output('[{"title":"x", "description": "d"}]', make_group())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("title", None), ("description", 3), ("quote", ["a"]), ("quote", None),
+])
+def test_parse_generation_non_string_field_is_malformed(field, value):
+    # Such a field used to be str()-ed into a concern quoting "['a']".
+    item = {"title": "t", "description": "d", "quote": "q", field: value}
+    with pytest.raises(MalformedStageOutput, match=f"{field} must be a string"):
+        parse_generation_output(json.dumps([item]), make_group())
+
+
 def test_parse_generation_non_array_is_malformed():
     with pytest.raises(MalformedStageOutput):
         parse_generation_output('{"title":"x"}', make_group())
@@ -81,6 +93,11 @@ def test_strip_code_fences_passthrough_and_fenced():
 # ---------------------------------------------------------------------------
 # quote verification
 # ---------------------------------------------------------------------------
+
+
+def _reference_normalize(text):
+    """The normaliser pinned as a regex, independent of quallm.stages."""
+    return " ".join(re.sub(r"[^a-z0-9\s]+", "", text.lower()).split())
 
 
 def _brute_force_best_overlap(quote_tokens, member_tokens):
@@ -134,61 +151,88 @@ def test_quote_sharing_nothing_is_absent():
 
 
 def test_sliding_window_overlap_matches_brute_force_oracle():
-    rng = random.Random(3)
-    vocabulary = [f"w{i}" for i in range(12)]
     from quallm.stages import _best_window_overlap
 
-    for _ in range(300):
-        quote = [rng.choice(vocabulary) for _ in range(rng.randint(1, 8))]
-        member = [rng.choice(vocabulary) for _ in range(rng.randint(0, 40))]
-        fast = _best_window_overlap(quote, member)
-        slow = _brute_force_best_overlap(quote, member)
-        assert fast == pytest.approx(slow)
+    rng = random.Random(3)
+    # The larger vocabulary leaves most member tokens outside the quote.
+    for vocabulary in ([f"w{i}" for i in range(12)], [f"w{i}" for i in range(60)]):
+        for _ in range(300):
+            quote = [rng.choice(vocabulary[:12]) for _ in range(rng.randint(1, 8))]
+            member = [rng.choice(vocabulary) for _ in range(rng.randint(0, 40))]
+            fast = _best_window_overlap(quote, member)
+            slow = _brute_force_best_overlap(quote, member)
+            assert fast == pytest.approx(slow)
+
+
+def test_normalize_matches_pinned_regex_on_every_ascii_character():
+    from quallm.stages import _normalize
+
+    for code in range(128):
+        text = f"Ab{chr(code)}Cd {chr(code)}x"
+        assert _normalize(text) == _reference_normalize(text), repr(chr(code))
 
 
 def _reference_verify_quote(concern, group):
-    """The per-concern quote check as it was before members were normalised
-    once per group: the oracle for verify_quote and _attach_quote_checks."""
-    from quallm.stages import _best_window_overlap, _normalize
-
-    quote_norm = _normalize(concern.quote)
+    """The quote check from its definition, using only the pinned regex
+    normaliser and the brute-force window oracle."""
+    quote_norm = _reference_normalize(concern.quote)
     if not quote_norm:
         return "absent"
-    member_norms = [_normalize(m.text) for m in group.members]
-    for text in member_norms:
-        if quote_norm in text:
-            return "verbatim"
+    member_norms = [_reference_normalize(m.text) for m in group.members]
+    if any(quote_norm in text for text in member_norms):
+        return "verbatim"
     quote_tokens = quote_norm.split()
     for text in member_norms:
-        if _best_window_overlap(quote_tokens, text.split()) >= 0.8:
+        if _brute_force_best_overlap(quote_tokens, text.split()) >= 0.8:
             return "fuzzy"
     return "absent"
 
 
+# Characters whose lower case, deletion or whitespace class is easy to get
+# wrong: KELVIN SIGN lower-cases to ASCII "k", DOTTED CAPITAL I to "i" plus
+# a combining dot, capital sigma to a context-dependent final or medial
+# sigma; U+00A0, U+0085 and \x1c-\x1f are whitespace to str.split() and \s.
+_ODD_AFFIXES = ["é", "İ", "\u212a", "Σ", "ς", "É"]
+_ODD_SPACES = ["\u00a0", "\u0085", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
 def _random_quote_cases(rng):
-    """Yield (group, quotes): members with repeats, punctuation and empty
-    texts, quotes of 1-20 tokens cut from them with some tokens swapped."""
+    """Yield (group, quotes): members with repeats, punctuation, non-ASCII
+    letters and whitespace and empty texts; quotes of 1-20 tokens cut from
+    them with some tokens swapped, and raw slices cut mid-word."""
     vocabulary = ["fare", "pay", "tip", "app", "rate", "surge", "night", "zone"]
     punctuation = ["", "", "", ",", ".", "!", "'s", " --"]
     for case in range(400):
         members = []
         for m in range(rng.randint(1, 5)):
             kind = rng.random()
+            odd = rng.random() < 0.3
             if kind < 0.08:
                 text = ""
             elif kind < 0.16:
-                text = rng.choice(["...", "!!! ?", " -- ", "'"])
+                text = rng.choice(["...", "!!! ?", " -- ", "'", "Σ", "\x1c\u00a0"])
             else:
                 words = [rng.choice(vocabulary) for _ in range(rng.randint(1, 40))]
-                text = " ".join(
+                if odd:
+                    words = [rng.choice(["", "", w[0].upper() + w[1:]] + _ODD_AFFIXES) + w
+                             + rng.choice(["", "", ""] + _ODD_AFFIXES) for w in words]
+                spaces = [" "] * 4 + (_ODD_SPACES if odd else [])
+                text = "".join(
                     (w.upper() if rng.random() < 0.1 else w) + rng.choice(punctuation)
+                    + rng.choice(spaces)
                     for w in words
                 )
             members.append(make_doc(f"s{m}", text))
         group = make_group(f"feed{case:012d}", members)
         quotes = []
         for _ in range(rng.randint(1, 6)):
-            source = rng.choice(members).text.split() or ["fare"]
+            source = rng.choice(members).text
+            if source and rng.random() < 0.25:
+                # A raw slice, punctuation, case and odd characters kept.
+                start = rng.randrange(len(source))
+                quotes.append(source[start : start + rng.randint(1, 60)])
+                continue
+            source = source.split() or ["fare"]
             qlen = rng.randint(1, 20)
             start = rng.randint(0, max(0, len(source) - 1))
             tokens = (source[start:] + source)[:qlen]
@@ -197,19 +241,48 @@ def _random_quote_cases(rng):
             # one more swap lands them just under.
             swaps = qlen // 5 + rng.choice([0, 0, 1, -1])
             for i in rng.sample(range(qlen), max(0, min(qlen, swaps))):
-                tokens[i] = rng.choice(["xray", "yank", "zulu", "fare", "pay"])
+                tokens[i] = rng.choice(["xray", "yank", "zulu", "fare", "pay", "\u212aap"])
             quote = " ".join(tokens)
+            if rng.random() < 0.1:
+                # A copy that is no raw substring: another case or spacing.
+                quote = rng.choice([quote.upper(), quote.lower(), quote.replace(" ", "  ")])
             if rng.random() < 0.03:
-                quote = "?!"
+                quote = rng.choice(["?!", "", " \x1f ", "ΣΣ"])
             quotes.append(quote)
         yield group, quotes
 
 
-def test_quote_checks_once_per_group_match_per_concern_oracle():
-    from quallm.stages import _attach_quote_checks, _normalize
+class _CountingRegex:
+    def __init__(self, regex):
+        self.regex, self.calls = regex, 0
+
+    def sub(self, *args):
+        self.calls += 1
+        return self.regex.sub(*args)
+
+
+def test_quote_checks_once_per_group_match_per_concern_oracle(monkeypatch):
+    from quallm import stages
+
+    tokenised = Counter()
+    real_tokens, real_scan = stages._tokens, stages._best_window_overlap
+
+    def counting_tokens(text):
+        tokenised["calls"] += 1
+        return real_tokens(text)
+
+    def counting_scan(quote_tokens, member_tokens):
+        tokenised["scans"] += 1
+        return real_scan(quote_tokens, member_tokens)
+
+    regex = _CountingRegex(stages._PUNCT_RE)
+    monkeypatch.setattr(stages, "_tokens", counting_tokens)
+    monkeypatch.setattr(stages, "_best_window_overlap", counting_scan)
+    monkeypatch.setattr(stages, "_PUNCT_RE", regex)
 
     rng = random.Random(11)
     outcomes = Counter()
+    paths = Counter()
     borderline = Counter()
     for group, quotes in _random_quote_cases(rng):
         concerns = [
@@ -222,12 +295,16 @@ def test_quote_checks_once_per_group_match_per_concern_oracle():
         checked = _attach_quote_checks(concerns, group)
         assert [c.quote_check for c in checked] == expected
         outcomes.update(expected)
+        for text in [c.quote for c in concerns] + [m.text for m in group.members]:
+            assert stages._normalize(text) == _reference_normalize(text), repr(text)
         for concern, outcome in zip(concerns, expected):
             if outcome == "verbatim":
+                raw = any(concern.quote in m.text for m in group.members)
+                paths["raw" if raw else "normalised"] += 1
                 continue
-            tokens = _normalize(concern.quote).split()
+            tokens = _reference_normalize(concern.quote).split()
             best = max(
-                (_brute_force_best_overlap(tokens, _normalize(m.text).split())
+                (_brute_force_best_overlap(tokens, _reference_normalize(m.text).split())
                  for m in group.members),
                 default=0.0,
             )
@@ -235,9 +312,13 @@ def test_quote_checks_once_per_group_match_per_concern_oracle():
                 borderline["at"] += 1
             elif 0.7 <= best < 0.8:
                 borderline["under"] += 1
-    # The seeded cases reach every outcome and both sides of the threshold.
+    # The seeded cases reach every outcome, both sides of the threshold
+    # and every path of the check and of the normaliser.
     assert min(outcomes[k] for k in ("verbatim", "fuzzy", "absent")) >= 20
     assert borderline["at"] >= 10 and borderline["under"] >= 10
+    assert paths["raw"] >= 20 and paths["normalised"] >= 20
+    assert tokenised["scans"] >= 20
+    assert regex.calls >= 20 and tokenised["calls"] - regex.calls >= 20
 
 
 def test_generate_for_group_quote_check_equals_direct_verify_quote(study):
@@ -253,15 +334,20 @@ def test_generate_for_group_quote_check_equals_direct_verify_quote(study):
         {"title": "t3", "description": "d", "quote": "pay pay pay"},
         {"title": "t4", "description": "d", "quote": "quantum lattice chromodynamics"},
         {"title": "t5", "description": "d", "quote": "..."},
+        {"title": "t6", "description": "d", "quote": ""},
+        {"title": "t7", "description": "d", "quote": " \n "},
     ]
     gateway = scripted_gateway(
         [{"request_tag": "gen:ab12000000000009", "response_text": json.dumps(items)}]
     )
     outcome = generate_for_group(gateway, group, study)
     assert not isinstance(outcome, GatewayFailure)
+    # An empty or blank quote is checked, not re-asked.
+    assert gateway.backend.calls == 1
     direct = [verify_quote(c, group) for c in outcome]
     assert [c.quote_check for c in outcome] == direct
-    assert direct == ["verbatim", "fuzzy", "verbatim", "absent", "absent"]
+    assert direct == ["verbatim", "fuzzy", "verbatim", "absent", "absent", "absent",
+                      "absent"]
 
 
 # ---------------------------------------------------------------------------
