@@ -8,6 +8,7 @@ parser has no dependencies.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -17,33 +18,6 @@ from .models import StudyConfig, ThemeTaxonomy
 
 BACKEND_MOCK = "mock"
 BACKEND_LIVE = "live"
-
-_INT_KEYS = {
-    "group_size",
-    "classification_chunk_size",
-    "aggregation_chunk_size",
-    "prevalence_chunk_size",
-    "subtheme_count",
-    "min_chars",
-    "max_prompt_chars",
-    "parity_retries",
-    "concurrency",
-    "seed",
-    "max_output_tokens",
-    "max_attempts",
-}
-_FLOAT_KEYS = {"temperature", "input_rate", "output_rate", "backoff_base"}
-_PATH_KEYS = {"run_dir", "taxonomy", "quotes", "template_dir", "mock_script"}
-_STR_KEYS = {
-    "backend",
-    "endpoint",
-    "model",
-    "topic",
-    "source",
-    "mock_default_text",
-}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _PATH_KEYS | _STR_KEYS
-
 
 @dataclass
 class RunConfig:
@@ -126,8 +100,16 @@ class RunConfig:
         )
 
 
+# Each config key is a RunConfig field; its kind (int, float, str or Path)
+# is the field's type without Optional.
+_KINDS: dict[str, type] = {
+    name: next(t for t in (*typing.get_args(hint), hint) if t is not type(None))
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+
+
 def parse_config_text(text: str) -> dict[str, object]:
-    """key -> value, with the int and float keys already converted."""
+    """key -> value, each converted to its kind."""
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -137,10 +119,10 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in KNOWN_KEYS:
+        if key not in _KINDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         value = value.strip()
-        kind = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+        kind = _KINDS[key]
         try:
             values[key] = kind(value)
             if kind is float and not math.isfinite(values[key]):
@@ -161,11 +143,9 @@ def load_config(path: Path, run_dir_override: Optional[Path] = None) -> RunConfi
     config = RunConfig()
     base = path.parent
     for key, value in raw.items():
-        if key in _PATH_KEYS:
-            # Relative paths resolve against the config file's directory.
-            value = Path(value)
-            if not value.is_absolute():
-                value = base / value
+        # Relative paths resolve against the config file's directory.
+        if isinstance(value, Path) and not value.is_absolute():
+            value = base / value
         setattr(config, key, value)
     if run_dir_override is not None:
         config.run_dir = run_dir_override

@@ -12,7 +12,6 @@ builds these paths):
     checkpoints/<stage>.ndjson     per-unit progress (append-only)
     checkpoints/<stage>.quarantine.ndjson
                                    corrupt checkpoint lines, set aside
-    checkpoints/<stage>.meta.json  fingerprint of the stage's inputs
     summaries/<stage>.json         deterministic stage summary
     llm_log.ndjson                 one line per backend call
     report.md                      theme report (``report``)
@@ -25,14 +24,15 @@ builds these paths):
 A command run before the stage that writes its input raises
 ``PipelineOrderError`` naming that stage.
 
-Units (groups, chunks, themes) checkpoint as they complete; a resumed
-run skips completed units, and a finished stage re-invocation performs
-no backend calls and rewrites identical outputs. A checkpoint record
-whose payload lacks what its stage reads is quarantined like a corrupt
-line, so its unit re-runs. If a stage's inputs
-changed since its checkpoint was written (for example after
-retry-failed added concerns upstream), the stale checkpoint is
-discarded and the stage re-runs from scratch.
+Units (groups, chunks, themes) checkpoint as they complete, each record
+with the digest of the inputs its unit answered.  A unit is pending
+unless its key's record carries its current digest: a resumed run skips
+completed units, a finished stage re-invocation makes no backend calls
+and rewrites identical outputs, and after an input change (retry-failed
+adds concerns upstream, a chunk size changes) only the units whose
+inputs changed re-run.  Records of older versions have no digest; see
+``_legacy_current``.  A corrupt checkpoint line, or one whose payload
+lacks what its stage reads, is quarantined, so its unit re-runs.
 
 Each stage rebuilds its whole output set from its checkpoint. Outputs
 and summaries are replaced atomically (written to a temp file, then
@@ -70,11 +70,12 @@ import queue
 from contextlib import closing
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from . import ndjson
-from .gateway import Gateway, GatewayFailure
+from .gateway import FAILURE_CATEGORIES, Gateway, GatewayFailure
 from .ingest import read_groups
 from .models import (
     BatchGroup,
@@ -151,9 +152,6 @@ class RunPaths:
     def quarantine(self, stage: str) -> Path:
         return self.run_dir / "checkpoints" / f"{stage}.quarantine.ndjson"
 
-    def meta(self, stage: str) -> Path:
-        return self.run_dir / "checkpoints" / f"{stage}.meta.json"
-
     def summary(self, stage: str) -> Path:
         return self.run_dir / "summaries" / f"{stage}.json"
 
@@ -183,9 +181,10 @@ class Checkpoint:
     def load(self, check: Callable[[dict], Any] = lambda payload: None) -> dict[str, dict]:
         """Read entries, quarantining corrupt lines so their units re-run.
 
-        ``check(payload)`` raises KeyError, TypeError or ValueError for an
-        ``ok`` payload that lacks what the stage reads; its line is
-        quarantined too.
+        A line needs a string ``key``, and a failed line a category from
+        ``FAILURE_CATEGORIES``.  ``check(payload)`` raises KeyError,
+        TypeError or ValueError for an ``ok`` payload that lacks what the
+        stage reads; its line is quarantined too.
         """
         if not self.path.exists():
             return {}
@@ -200,13 +199,17 @@ class Checkpoint:
                 try:
                     record = json.loads(stripped)
                     key = record["key"]
+                    if not isinstance(key, str):
+                        raise TypeError("key must be a string")
                     status = record["status"]
-                    if status not in ("ok", "failed"):
-                        raise ValueError(f"bad status {status!r}")
                     if status == "ok":
                         if not isinstance(record.get("payload"), dict):
                             raise ValueError("ok entry without a payload object")
                         check(record["payload"])
+                    elif status != "failed":
+                        raise ValueError(f"bad status {status!r}")
+                    elif record["category"] not in FAILURE_CATEGORIES:
+                        raise ValueError("failed entry without a known category")
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     bad_lines.append(stripped)
                     continue
@@ -237,10 +240,6 @@ class Checkpoint:
             self._file.close()
             self._file = None
 
-    def discard(self) -> None:
-        if self.path.exists():
-            self.path.unlink()
-
 
 def _check_concerns(payload: dict) -> None:
     for concern in payload["concerns"]:
@@ -266,31 +265,61 @@ def _assignment_check(themed: bool) -> Callable[[dict], None]:
     return check
 
 
-def _fingerprint(paths: Iterable[Path]) -> str:
-    digest = hashlib.sha256()
-    for path in paths:
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes() if path.exists() else b"<missing>")
-    return digest.hexdigest()
+def _digest(fields: Iterable[str]) -> str:
+    """sha256 of *fields*, each prefixed by its length so no two sequences collide."""
+    data = [text.encode("utf-8") for text in fields]
+    return hashlib.sha256(b"".join(b"%d:%s" % (len(d), d) for d in data)).hexdigest()
+
+
+def _member_fields(group: BatchGroup) -> Iterator[str]:
+    return chain.from_iterable((m.submission_id, str(m.created_at), m.text)
+                               for m in group.members)
+
+
+def _concern_fields(concerns: Iterable[Concern]) -> Iterator[str]:
+    return chain.from_iterable((c.concern_id, c.title, c.description) for c in concerns)
+
+
+def _legacy_current(paths: RunPaths, stage: str) -> bool:
+    """Whether the stage's records without a digest are current.  Older
+    versions wrote them under the fingerprint of the stage's input files in
+    ``checkpoints/<stage>.meta.json``, discarded when it changed, so they
+    hold while it still matches.  Nothing writes that file now."""
+    inputs = {STAGE_GENERATE: [paths.groups], STAGE_CLASSIFY: [paths.concerns]}.get(
+        stage, [paths.theme_assignments, paths.concerns])
+    if stage == STAGE_PREVALENCE:
+        inputs += paths.subtheme_files()
+    try:
+        meta = ndjson.read_json(paths.checkpoint(stage).with_suffix(".meta.json"))
+        recorded = meta["input_fingerprint"]
+    except (FileNotFoundError, ValueError, KeyError, TypeError):
+        return False
+    fingerprint = hashlib.sha256()
+    for path in inputs:
+        fingerprint.update(path.name.encode())
+        fingerprint.update(path.read_bytes() if path.exists() else b"<missing>")
+    return recorded == fingerprint.hexdigest()
 
 
 T = TypeVar("T")
 
 
-def _unit_record(
-    key: str, result: Union[T, GatewayFailure], payload: Callable[[T], dict]
-) -> dict:
-    """Checkpoint line of one unit: ``{key, status: "ok", payload}`` or
-    ``{key, status: "failed", category, detail, attempts}``."""
+def _unit_record(result: Union[T, GatewayFailure], payload: Callable[[T], dict]) -> dict:
+    """Checkpoint line of one unit, but for the ``key`` and ``digest`` that
+    ``_run_units`` adds: ``{status: "ok", payload}`` or
+    ``{status: "failed", category, detail, attempts}``."""
     if isinstance(result, GatewayFailure):
         return {
-            "key": key,
             "status": "failed",
             "category": result.category,
             "detail": result.detail,
             "attempts": result.attempts,
         }
-    return {"key": key, "status": "ok", "payload": payload(result)}
+    return {"status": "ok", "payload": payload(result)}
+
+
+def _keyed(key: str, digest: str, run: Callable[[], dict]) -> dict:
+    return {"key": key, "digest": digest, **run()}
 
 
 @dataclass
@@ -342,47 +371,40 @@ class PipelineRunner:
     def _run_units(
         self,
         stage: str,
-        units: Sequence[tuple[str, Callable[[], dict]]],
-        input_files: Sequence[Path],
+        units: Sequence[tuple[str, str, Callable[[], dict]]],
         retry_failed: bool,
         check: Callable[[dict], Any],
     ) -> tuple[list[dict], StageReport]:
-        """Run the pending *units*, each returning its checkpoint record;
-        return the entries in unit order (units with no entry left out) and
-        the stage report.  *check* is the stage's payload check (see
-        ``Checkpoint.load``)."""
+        """Run the pending (key, digest, run) *units*, ``run()`` returning
+        a ``_unit_record``; return their records in unit order and the stage
+        report.  A unit is pending unless its key's record carries its digest
+        (and, with *retry_failed*, is ok).  *check* is the stage's payload
+        check (see ``Checkpoint.load``)."""
         checkpoint = Checkpoint(self.paths.checkpoint(stage),
                                 self.paths.quarantine(stage))
         checkpoint.path.parent.mkdir(parents=True, exist_ok=True)
-
-        fingerprint = _fingerprint(input_files)
-        meta_path = self.paths.meta(stage)
-        if meta_path.exists():
-            recorded = ndjson.read_json(meta_path)
-            if recorded.get("input_fingerprint") != fingerprint:
-                logger.warning(
-                    "stage %s: inputs changed since last run; discarding checkpoint",
-                    stage,
-                )
-                checkpoint.discard()
-        ndjson.write_text(meta_path, json.dumps({"input_fingerprint": fingerprint}) + "\n")
-
         done = checkpoint.load(check)
-        pending = [
-            (key, fn)
-            for key, fn in units
-            if key not in done or (retry_failed and done[key]["status"] == "failed")
-        ]
+        legacy = (any("digest" not in record for record in done.values())
+                  and _legacy_current(self.paths, stage))
+
+        def current(key: str, digest: str) -> bool:
+            record = done.get(key)
+            if record is None or (retry_failed and record["status"] == "failed"):
+                return False
+            return record["digest"] == digest if "digest" in record else legacy
+
+        pending = [functools.partial(_keyed, key, digest, run)
+                   for key, digest, run in units if not current(key, digest)]
 
         tokens_before = self.gateway.tokens
-        executed = self._execute([fn for _, fn in pending], checkpoint, done)
+        executed = self._execute(pending, checkpoint, done)
         tokens_after = self.gateway.tokens
 
-        entries = [done[key] for key, _ in units if key in done]
+        entries = [done[key] for key, _, _ in units]
         failed_by_category: dict[str, int] = {}
         for entry in entries:
             if entry["status"] != "ok":
-                category = entry.get("category", "other")
+                category = entry["category"]
                 failed_by_category[category] = failed_by_category.get(category, 0) + 1
         failed = sum(failed_by_category.values())
         report = StageReport(
@@ -461,30 +483,32 @@ class PipelineRunner:
     def _run_letter_chunks(
         self,
         stage: str,
-        themes: Sequence[tuple[str, Sequence[Concern], LetterCall]],
+        themes: Sequence[tuple[str, Sequence[str], Sequence[Concern], LetterCall]],
         chunk_size: int,
-        input_files: Sequence[Path],
         output: Path,
         retry_failed: bool,
     ) -> StageReport:
         """Run serial->letter chunks (classify, prevalence) and write their
         assignments to *output*.
 
-        *themes* holds (theme, concerns, call) triples; ``call(index, chunk)``
-        answers one chunk. Classification passes a single triple with theme
-        "", so its unit keys are bare chunk numbers and its assignments carry
-        no theme.
+        *themes* holds (theme, context, concerns, call) tuples;
+        ``call(index, chunk)`` answers one chunk, and each chunk's digest
+        covers the *context* fields and its concerns. Classification passes
+        a single tuple with theme "" and no context, so its unit keys are
+        bare chunk numbers and its assignments carry no theme.
         """
         units = []
-        for theme, concerns, call in themes:
+        for theme, context, concerns, call in themes:
             slices = chunk_slices(len(concerns), chunk_size)
             for index, (start, end) in enumerate(slices, start=1):
-                key = f"{theme}:{index}" if theme else str(index)
-                units.append((key, functools.partial(
-                    _letter_unit, key, theme, index, concerns[start:end], call
-                )))
-        check = _assignment_check(themed=any(theme for theme, _, _ in themes))
-        entries, report = self._run_units(stage, units, input_files, retry_failed, check)
+                chunk = concerns[start:end]
+                units.append((
+                    f"{theme}:{index}" if theme else str(index),
+                    _digest(chain(context, _concern_fields(chunk))),
+                    functools.partial(_letter_unit, theme, index, chunk, call),
+                ))
+        check = _assignment_check(themed=any(theme for theme, *_ in themes))
+        entries, report = self._run_units(stage, units, retry_failed, check)
 
         assignments: list[dict] = []
         remapped = 0
@@ -497,7 +521,7 @@ class PipelineRunner:
 
         # Each concern lies in one chunk and an ok chunk assigns all of its
         # concerns (the parity check), so the rest lie in failed chunks.
-        concerns_in = sum(len(concerns) for _, concerns, _ in themes)
+        concerns_in = sum(len(concerns) for _, _, concerns, _ in themes)
         report.extras = {
             "assigned": len(assignments),
             "failed_concerns": concerns_in - len(assignments),
@@ -520,15 +544,14 @@ class PipelineRunner:
 
         def generate(group: BatchGroup) -> dict:
             return _unit_record(
-                group.group_key,
                 generate_for_group(self.gateway, group, self.study, self.template_dir),
                 lambda concerns: {"concerns": [c.to_dict() for c in concerns]},
             )
 
-        units = [(g.group_key, functools.partial(generate, g)) for g in groups]
-        entries, report = self._run_units(
-            STAGE_GENERATE, units, [self.paths.groups], retry_failed, _check_concerns
-        )
+        units = [(g.group_key, _digest(_member_fields(g)), functools.partial(generate, g))
+                 for g in groups]
+        entries, report = self._run_units(STAGE_GENERATE, units, retry_failed,
+                                          _check_concerns)
 
         concerns: list[dict] = []
         empty_groups = 0
@@ -562,9 +585,8 @@ class PipelineRunner:
 
         report = self._run_letter_chunks(
             STAGE_CLASSIFY,
-            [("", concerns, classify)],
+            [("", (), concerns, classify)],
             self.study.classification_chunk_size,
-            [self.paths.concerns],
             self.paths.theme_assignments,
             retry_failed,
         )
@@ -579,26 +601,19 @@ class PipelineRunner:
 
         def aggregate(category: ThemeCategory, concerns: list[Concern]) -> dict:
             return _unit_record(
-                category.code,
                 run_aggregation(self.gateway, category, concerns, self.study,
                                 self.template_dir),
                 lambda subthemes: {"subthemes": subthemes.to_dict()},
             )
 
         units = [
-            (category.code, functools.partial(aggregate, category,
-                                              theme_concerns[category.code]))
+            (category.code, _digest(_concern_fields(concerns)),
+             functools.partial(aggregate, category, concerns))
             for category in self.study.taxonomy.active
-            if theme_concerns.get(category.code)
+            if (concerns := theme_concerns.get(category.code))
         ]
-
-        entries, report = self._run_units(
-            STAGE_AGGREGATE,
-            units,
-            [self.paths.theme_assignments, self.paths.concerns],
-            retry_failed,
-            _check_subthemes,
-        )
+        entries, report = self._run_units(STAGE_AGGREGATE, units, retry_failed,
+                                          _check_subthemes)
 
         written = []
         for entry in entries:
@@ -637,20 +652,21 @@ class PipelineRunner:
             return assign
 
         themes = [
-            (s.theme, theme_concerns.get(s.theme, []), assigner(s))
+            (s.theme,
+             (str(len(s.entries)), *chain.from_iterable((e.title, e.description)
+                                                        for e in s.by_rank())),
+             theme_concerns.get(s.theme, []), assigner(s))
             for s in subtheme_sets
         ]
         report = self._run_letter_chunks(
             STAGE_PREVALENCE,
             themes,
             self.study.prevalence_chunk_size,
-            [self.paths.theme_assignments, self.paths.concerns]
-            + self.paths.subtheme_files(),
             self.paths.subtheme_assignments,
             retry_failed,
         )
         report.extras["themed_concerns"] = {
-            theme: len(concerns) for theme, concerns, _ in themes
+            theme: len(concerns) for theme, _, concerns, _ in themes
         }
         self._write_summary(report)
         return report
@@ -676,9 +692,7 @@ class PipelineRunner:
         ]
 
 
-def _letter_unit(
-    key: str, theme: str, index: int, chunk: Sequence[Concern], call: LetterCall
-) -> dict:
+def _letter_unit(theme: str, index: int, chunk: Sequence[Concern], call: LetterCall) -> dict:
     def payload(result: tuple[list[str], int]) -> dict:
         letters, remapped = result
         assignments = []
@@ -689,7 +703,7 @@ def _letter_unit(
             assignments.append(record)
         return {"assignments": assignments, "remapped": remapped}
 
-    return _unit_record(key, call(index, chunk), payload)
+    return _unit_record(call(index, chunk), payload)
 
 
 def _count_values(records: Iterable[dict], field_name: str) -> dict[str, int]:

@@ -123,32 +123,30 @@ def test_full_cli_run_and_idempotent_rerun(fixture, capsys):
         assert fixture.run_dir.joinpath(name).read_bytes() == blob
 
 
-def test_failed_meta_write_keeps_old_meta(fixture, monkeypatch):
+def test_failed_summary_write_keeps_old_summary(fixture, monkeypatch):
     assert run_ingest(fixture) == 0
     argv = ["generate", "--config", str(fixture.config_path)]
     assert main(argv) == 0
-    meta = fixture.run_dir / "checkpoints" / "generate.meta.json"
-    old = '{"input_fingerprint": "from an earlier run"}\n'
-    meta.write_text(old, encoding="utf-8")
+    summary = fixture.run_dir / "summaries" / "generate.json"
+    old = '{"stage": "from an earlier run"}\n'
+    summary.write_text(old, encoding="utf-8")
 
     replace = os.replace
 
     def failing_replace(src, dst):
-        if Path(dst) == meta:
+        if Path(dst) == summary:
             raise OSError("disk full")
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError):
         main(argv)
-    assert meta.read_text(encoding="utf-8") == old
-    assert sorted(p.name for p in meta.parent.glob("*.tmp")) == []
+    assert summary.read_text(encoding="utf-8") == old
+    assert sorted(p.name for p in summary.parent.glob("*.tmp")) == []
 
     monkeypatch.setattr(os, "replace", replace)
     assert main(argv) == 0
-    assert json.loads(meta.read_text(encoding="utf-8"))["input_fingerprint"] != (
-        "from an earlier run"
-    )
+    assert json.loads(summary.read_text(encoding="utf-8"))["stage"] == "generate"
 
 
 @pytest.mark.parametrize(
@@ -350,16 +348,22 @@ def test_stale_theme_outputs_removed(fixture):
         f"theme_{t}.csv" for t in "ABCD"
     }
 
-    # Re-classify with every D concern sent to the catch-all, and make
-    # theme C's aggregation fail from now on.
+    # Re-classify with every D concern and one C concern sent to the
+    # catch-all, so theme C's concern set changes, and make theme C's
+    # aggregation fail from now on.
     entries = []
+    moved_c = False
     for entry in ndjson.iter_records(fixture.script_path):
         tag = entry["request_tag"]
         if tag.startswith("cls:"):
             entry["response_text"] = entry["response_text"].replace('"D"', '"E"')
+            if not moved_c and '"C"' in entry["response_text"]:
+                entry["response_text"] = entry["response_text"].replace('"C"', '"E"', 1)
+                moved_c = True
         if tag == "agg:C":
             entry = {"request_tag": tag, "failure": "content_filtered"}
         entries.append(entry)
+    assert moved_c
     ndjson.write_records(fixture.script_path, entries)
     (run_dir / "checkpoints" / "classify.ndjson").unlink()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import threading
@@ -248,23 +249,40 @@ def test_ok_checkpoint_line_without_payload_quarantined(fixture, tmp_path):
     assert stage_outputs(paths2) == before
 
 
-def _drop_concern_field(payload):
-    del payload["concerns"][0]["concern_id"]
+def _drop_concern_field(record):
+    del record["payload"]["concerns"][0]["concern_id"]
 
 
-def _set_concern_title(payload):
-    payload["concerns"][0]["title"] = 3
+def _set_concern_title(record):
+    record["payload"]["concerns"][0]["title"] = 3
 
 
 def _drop_assignment_field(name):
-    def drop(payload):
-        del payload["assignments"][0][name]
+    def drop(record):
+        del record["payload"]["assignments"][0][name]
 
     return drop
 
 
-def _drop_subtheme_entries(payload):
-    del payload["subthemes"]["entries"]
+def _drop_subtheme_entries(record):
+    del record["payload"]["subthemes"]["entries"]
+
+
+def _list_key(record):
+    record["key"] = [record["key"]]
+
+
+def _fail(record, category):
+    del record["payload"]
+    record.update(status="failed", category=category, detail="", attempts=1)
+
+
+def _fail_with_list_category(record):
+    _fail(record, ["network"])
+
+
+def _fail_with_unknown_category(record):
+    _fail(record, "made_up")
 
 
 @pytest.mark.parametrize("stage, damage", [
@@ -273,11 +291,16 @@ def _drop_subtheme_entries(payload):
     ("classify", _drop_assignment_field("code")),
     ("aggregate", _drop_subtheme_entries),
     ("prevalence", _drop_assignment_field("theme")),
+    ("generate", _list_key),
+    ("classify", _fail_with_list_category),
+    ("prevalence", _fail_with_unknown_category),
 ])
 def test_ok_checkpoint_line_missing_what_its_stage_reads_quarantined(
         fixture, tmp_path, stage, damage):
     # A classify assignment without "code" used to pass classify and then
-    # crash aggregate with KeyError: 'code'.
+    # crash aggregate with KeyError: 'code'. A list key or category used to
+    # crash the stage (unhashable type), and an unknown category reached
+    # the summary's failed_by_category.
     run_dir = tmp_path / "run"
     ingest_into(fixture, run_dir)
     runner, paths, _ = build_runner(fixture, run_dir=run_dir)
@@ -289,7 +312,7 @@ def test_ok_checkpoint_line_missing_what_its_stage_reads_quarantined(
     # The first ok record; for generate, the first with concerns.
     damaged = next(r for r in records if r["status"] == "ok"
                    and r["payload"].get("concerns", True))
-    damage(damaged["payload"])
+    damage(damaged)
     ndjson.write_records(checkpoint, records)
 
     runner2, paths2, backend2 = build_runner(fixture, run_dir=run_dir)
@@ -326,26 +349,202 @@ def test_write_records_failure_keeps_old_file(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_input_change_invalidates_stale_checkpoint(fixture, tmp_path):
+def test_input_change_invalidates_stale_checkpoint(study50, tmp_path):
     run_dir = tmp_path / "run"
-    ingest_into(fixture, run_dir)
-    runner, paths, backend = build_runner(fixture, run_dir=run_dir)
+    ingest_into(study50, run_dir)
+    runner, paths, _ = build_runner(study50, run_dir=run_dir)
     runner.stage_generate()
     runner.stage_classify()
-    calls = backend.calls
+    runner.gateway.close()
 
-    # Re-write the concern file with the last chunk's concerns dropped:
-    # classify must discard its checkpoint and re-run rather than trust
-    # stale chunks.
+    # Re-write the concern file with every chunk after the second dropped
+    # and one concern of the second chunk re-described: classify re-runs
+    # that chunk rather than trust its stale record, reuses the unchanged
+    # first chunk, and ignores the records of the dropped chunks.
+    size = runner.study.classification_chunk_size
     records = list(ndjson.iter_records(paths.concerns))
-    kept = records[: runner.study.classification_chunk_size]
+    kept = records[: 2 * size]
     assert len(kept) < len(records)
+    kept[size]["description"] += " (edited)"
     ndjson.write_records(paths.concerns, kept)
-    runner2, paths2, backend2 = build_runner(fixture, run_dir=run_dir)
+    runner2, paths2, backend2 = build_runner(study50, run_dir=run_dir)
+    tags = _recording(backend2)
     report = runner2.stage_classify()
-    assert report.executed == report.units_total  # full re-run
+    runner2.gateway.close()
+    assert (report.units_total, report.executed, report.skipped) == (2, 1, 1)
+    assert tags == ["cls:2"]
     assigned = list(ndjson.iter_records(paths2.theme_assignments))
     assert len(assigned) == len(kept)
+    assert [a["concern_id"] for a in assigned] == [c["concern_id"] for c in kept]
+
+
+@pytest.mark.parametrize("threads, concerns, reruns", [(60, 49, (2, 0)), (120, 102, (4, 3))])
+def test_chunk_size_change_reruns_only_chunks_whose_membership_changed(
+        tmp_path, threads, concerns, reruns):
+    # Before records carried digests, a chunk record was reused by its
+    # position: after 20 -> 30, classify skipped both chunks and lost 9 of
+    # the 49 concerns of the 60-thread study without a failure.
+    at20 = synthetic_study(tmp_path / "at20", threads=threads, chunk=20)
+    at30 = synthetic_study(tmp_path / "at30", threads=threads, chunk=30)
+    run_dir = tmp_path / "run"
+    ingest_into(at20, run_dir)
+    runner, paths, _ = build_runner(at20, run_dir=run_dir)
+    runner.run_all()
+    runner.gateway.close()
+
+    def recorded_members(stage):
+        return {r["key"]: [a["concern_id"] for a in r["payload"]["assignments"]]
+                for r in ndjson.iter_records(paths.checkpoint(stage))}
+
+    before = {stage: recorded_members(stage) for stage in ("classify", "prevalence")}
+    runner, _, backend = build_runner(at30, run_dir=run_dir)
+    tags = _recording(backend)
+    reports = dict(zip(STAGES, runner.run_all()))
+    runner.gateway.close()
+
+    def chunks(ids, prefix):
+        return {f"{prefix}{n}": ids[start:start + 30]
+                for n, start in enumerate(range(0, len(ids), 30), start=1)}
+
+    concern_ids = [c["concern_id"] for c in ndjson.iter_records(paths.concerns)]
+    themed: dict[str, list[str]] = {}
+    for a in ndjson.iter_records(paths.theme_assignments):
+        themed.setdefault(a["code"], []).append(a["concern_id"])
+    current = {"classify": chunks(concern_ids, ""), "prevalence": {}}
+    for theme in "ABCD":
+        current["prevalence"].update(chunks(themed[theme], f"{theme}:"))
+    for stage, prefix in (("classify", "cls:"), ("prevalence", "prev:")):
+        changed = {key for key, ids in current[stage].items()
+                   if ids != before[stage].get(key)}
+        report = reports[stage]
+        assert (report.units_total, report.executed, report.failed) == (
+            len(current[stage]), len(changed), 0)
+        assert sorted(t for t in tags if t.startswith(prefix)) == sorted(
+            prefix + key for key in changed)
+        # The last record of each current key answers its current chunk.
+        assert recorded_members(stage) | current[stage] == recorded_members(stage)
+    assert reports["generate"].executed == reports["aggregate"].executed == 0
+    assert (len(concern_ids), reports["classify"].executed,
+            reports["prevalence"].executed) == (concerns, *reruns)
+
+    # Every concern is assigned again, each by the chunk that now holds it.
+    assigned = list(ndjson.iter_records(paths.theme_assignments))
+    assert [a["concern_id"] for a in assigned] == concern_ids
+    assert Counter(a["code"] for a in assigned) == +Counter(at30.theme_counts)
+    subs = Counter((a["theme"], a["code"]) for a in ndjson.iter_records(paths.subtheme_assignments))
+    assert subs == +Counter({(theme, code): n for theme, counts in at30.subtheme_counts.items()
+                             for code, n in counts.items()})
+
+
+def test_recovering_one_group_reruns_only_units_whose_inputs_changed(tmp_path):
+    study = synthetic_study(tmp_path / "study", threads=200, chunk=20)
+    run_dir = tmp_path / "run"
+    ingest_into(study, run_dir)
+    runner, paths, _ = build_runner(study, run_dir=run_dir)
+    runner.run_all()
+    runner.gateway.close()
+    finished = _finished_run(paths)
+
+    # A group whose concerns miss a theme fails, and the stages after it run
+    # without its concerns, answered as the finished run answered them.
+    codes = {a["concern_id"]: a["code"] for a in ndjson.iter_records(paths.theme_assignments)}
+    subcodes = {a["concern_id"]: a["code"]
+                for a in ndjson.iter_records(paths.subtheme_assignments)}
+    themes: dict[str, set[str]] = {}
+    for concern_id, code in codes.items():
+        themes.setdefault(concern_id.rsplit("-", 1)[0], set()).add(code)
+    candidates = sorted(key for key, found in themes.items() if not set("ABCD") <= found)
+    victim = candidates[len(candidates) // 2]
+    records = list(ndjson.iter_records(paths.checkpoint("generate")))
+    for record in records:
+        if record["key"] == victim:
+            _fail(record, "network")
+    ndjson.write_records(paths.checkpoint("generate"), records)
+
+    script = [e for e in ndjson.iter_records(study.script_path)
+              if e["request_tag"].startswith(("gen:", "agg:"))]
+
+    def answer(prefix, ids, answers):
+        for n, start in enumerate(range(0, len(ids), 20), start=1):
+            chunk = ids[start:start + 20]
+            script.append({"request_tag": f"{prefix}{n}", "response_text": json.dumps(
+                {str(i): answers[c] for i, c in enumerate(chunk, start=1)})})
+
+    kept = [c for c in codes if not c.startswith(victim)]
+    answer("cls:", kept, codes)
+    for theme in "ABCD":
+        answer(f"prev:{theme}:", [c for c in kept if codes[c] == theme], subcodes)
+    gateway = Gateway(MockBackend(script), sleep=lambda _: None, run_log_path=paths.llm_log)
+    reports = PipelineRunner(paths, runner.study, gateway, workers=4).run_all()
+    gateway.close()
+    assert [r.failed for r in reports] == [1, 0, 0, 0]
+
+    runner, _, backend = build_runner(study, run_dir=run_dir)
+    tags = _recording(backend)
+    reports = runner.retry_failed()
+    runner.gateway.close()
+    assert [r.stage for r in reports] == list(STAGES)
+    assert (reports[0].executed, reports[0].failed) == (1, 0)
+    for report in reports[1:]:
+        assert 0 < report.executed < report.units_total
+        assert report.failed == 0
+    assert len(tags) == sum(r.executed for r in reports)  # one call per unit
+    assert _finished_run(paths) == finished
+
+
+def _old_fingerprint(files):
+    """The per-stage fingerprint of the version before records carried
+    digests: each input file's name and bytes."""
+    fingerprint = hashlib.sha256()
+    for path in files:
+        fingerprint.update(path.name.encode())
+        fingerprint.update(path.read_bytes() if path.exists() else b"<missing>")
+    return fingerprint.hexdigest()
+
+
+def test_run_directory_without_digests_resumes_while_its_meta_files_match(fixture, tmp_path):
+    run_dir = tmp_path / "run"
+    ingest_into(fixture, run_dir)
+    runner, paths, _ = build_runner(fixture, run_dir=run_dir)
+    runner.run_all()
+    runner.gateway.close()
+    assert list(run_dir.joinpath("checkpoints").glob("*.meta.json")) == []
+    finished = _finished_run(paths)
+
+    # What the version before digests left: records without a digest, and
+    # the fingerprint of each stage's input files in its meta file.
+    inputs = {
+        "generate": [paths.groups],
+        "classify": [paths.concerns],
+        "aggregate": [paths.theme_assignments, paths.concerns],
+        "prevalence": [paths.theme_assignments, paths.concerns, *paths.subtheme_files()],
+    }
+    for stage, files in inputs.items():
+        meta = run_dir / "checkpoints" / f"{stage}.meta.json"
+        meta.write_text(json.dumps({"input_fingerprint": _old_fingerprint(files)}) + "\n")
+        records = list(ndjson.iter_records(paths.checkpoint(stage)))
+        for record in records:
+            del record["digest"]
+        ndjson.write_records(paths.checkpoint(stage), records)
+    metas = {path: path.read_bytes() for path in run_dir.glob("checkpoints/*.meta.json")}
+
+    runner, _, backend = build_runner(fixture, run_dir=run_dir)
+    reports = runner.run_all()
+    runner.gateway.close()
+    assert backend.calls == 0
+    assert [r.executed for r in reports] == [0, 0, 0, 0]
+    assert _finished_run(paths) == finished
+
+    # A changed concern file makes every old classify record stale, as the
+    # stage-wide fingerprint did; the meta files are only read.
+    records = list(ndjson.iter_records(paths.concerns))
+    records[-1]["description"] += " (edited)"
+    ndjson.write_records(paths.concerns, records)
+    runner, _, backend = build_runner(fixture, run_dir=run_dir)
+    report = runner.stage_classify()
+    runner.gateway.close()
+    assert report.executed == report.units_total == backend.calls == 2
+    assert {path: path.read_bytes() for path in metas} == metas
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +616,18 @@ def test_classification_failures_conserve_concerns(fixture, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _digest(*fields):
+    """A unit's digest: sha256 of its input fields, each length-prefixed."""
+    return hashlib.sha256(b"".join(
+        b"%d:%s" % (len(data), data) for data in (f.encode() for f in fields)
+    )).hexdigest()
+
+
 def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
     # Run directories must resume across versions, so the whole record of
-    # one ok and one failed unit of each kind is pinned here.
+    # one ok and one failed unit of each kind is pinned here, and one
+    # digest of each stage in hex: a new digest formula would re-bill every
+    # run directory.
     paths = RunPaths(tmp_path / "run")
     groups = [
         make_group("aaaa000000000001", [make_doc("s1", "The fare math never adds up.")]),
@@ -444,56 +652,74 @@ def test_checkpoint_records_of_ok_and_failed_units(study, tmp_path):
     def records(stage):
         return {r["key"]: r for r in ndjson.iter_records(paths.checkpoint(stage))}
 
-    def failed(key, category="content_filtered", detail="scripted content_filtered",
-               attempts=1):
-        return {"key": key, "status": "failed", "category": category, "detail": detail,
-                "attempts": attempts}
+    def failed(key, digest, category="content_filtered",
+               detail="scripted content_filtered", attempts=1):
+        return {"key": key, "digest": digest, "status": "failed", "category": category,
+                "detail": detail, "attempts": attempts}
 
     runner.stage_generate()
+    assert records("generate")["aaaa000000000001"]["digest"] == (
+        "4115d4b4a8b92423a59f2f89032a1b6dd836b27afd95765833e294ae95c95f78")
     assert records("generate") == {
-        "aaaa000000000001": {"key": "aaaa000000000001", "status": "ok", "payload": {
+        "aaaa000000000001": {"key": "aaaa000000000001", "status": "ok",
+                             "digest": _digest("s1", "1650000000",
+                                               "The fare math never adds up."),
+                             "payload": {
             "concerns": [{"concern_id": "aaaa000000000001-0001",
                           "group_key": "aaaa000000000001",
                           "earliest_timestamp": 1_650_000_000, "title": "Opaque fares",
                           "description": "d", "quote": "fare math",
                           "quote_check": "verbatim"}]}},
-        "aaaa000000000002": failed("aaaa000000000002"),
+        "aaaa000000000002": failed(
+            "aaaa000000000002", _digest("s2", "1650000000", "Support never answers.")),
     }
 
     # Four concerns in chunks of 3: the second chunk breaks parity every time.
     ids = [f"cccc000000000001-000{i}" for i in range(1, 5)]
-    ndjson.write_records(paths.concerns, [make_concern(c).to_dict() for c in ids])
+    concerns = [make_concern(c) for c in ids]
+    ndjson.write_records(paths.concerns, [c.to_dict() for c in concerns])
+    fields = [(c.concern_id, c.title, c.description) for c in concerns]
     runner.stage_classify()
+    assert records("classify")["1"]["digest"] == (
+        "826a01cb991a95e76df418217c68b89d7591edb9a3b90d367199902f24e75f30")
     assert records("classify") == {
-        "1": {"key": "1", "status": "ok", "payload": {
+        "1": {"key": "1", "status": "ok", "digest": _digest(*fields[0], *fields[1], *fields[2]),
+              "payload": {
             "assignments": [{"concern_id": ids[0], "code": "A"},
                             {"concern_id": ids[1], "code": "B"},
                             {"concern_id": ids[2], "code": "E"}],
             "remapped": 1}},
         "2": failed(
-            "2", category="malformed_output",
+            "2", _digest(*fields[3]), category="malformed_output",
             detail="contract violated after 2 retries: expected 1 entries, got 2",
             attempts=3,
         ),
     }
 
     runner.stage_aggregate()
+    assert records("aggregate")["A"]["digest"] == (
+        "41fc60e5bb1a078985abcf7243626d86fc9ad74e8f4c425b12d7944795978e28")
     assert records("aggregate") == {
-        "A": {"key": "A", "status": "ok",
+        "A": {"key": "A", "status": "ok", "digest": _digest(*fields[0]),
               "payload": {"subthemes": make_subthemes("A").to_dict()}},
-        "B": failed("B"),
+        "B": failed("B", _digest(*fields[1])),
     }
 
     ndjson.write_records(paths.theme_assignments,
                          [{"concern_id": c, "code": "A"} for c in ids])
     runner.stage_prevalence()
+    subtheme_fields = ["5"] + [f for r in range(1, 6) for f in (f"pattern {r}", f"detail {r}")]
+    assert records("prevalence")["A:1"]["digest"] == (
+        "6fe805d0a9a1599195f884fe2f6bcce45f15be160b7a595d95e9201fcb52888c")
     assert records("prevalence") == {
-        "A:1": {"key": "A:1", "status": "ok", "payload": {
+        "A:1": {"key": "A:1", "status": "ok",
+                "digest": _digest(*subtheme_fields, *fields[0], *fields[1], *fields[2]),
+                "payload": {
             "assignments": [{"concern_id": ids[0], "code": "A", "theme": "A"},
                             {"concern_id": ids[1], "code": "F", "theme": "A"},
                             {"concern_id": ids[2], "code": "B", "theme": "A"}],
             "remapped": 1}},
-        "A:2": failed("A:2"),
+        "A:2": failed("A:2", _digest(*subtheme_fields, *fields[3])),
     }
 
     # Earlier versions gave a failed unit a payload: the concern_ids of a
