@@ -124,11 +124,15 @@ def parse_config_text(text: str) -> dict[str, object]:
         value = value.strip()
         kind = _KINDS[key]
         try:
+            # Path("") is ".", the config directory: never what was meant.
+            if kind is Path and not value:
+                raise ValueError(value)
             values[key] = kind(value)
             if kind is float and not math.isfinite(values[key]):
                 raise ValueError(value)
         except ValueError:
-            wanted = "an integer" if kind is int else "a finite number"
+            wanted = {int: "an integer", float: "a finite number",
+                      Path: "a non-empty path"}[kind]
             raise ValueError(
                 f"config line {lineno}: {key} must be {wanted}, got {value!r}"
             ) from None

@@ -40,6 +40,7 @@ errors, each failure spends an attempt followed by an exponential delay.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -240,7 +241,9 @@ class HttpBackend:
 
     The credential comes from the ``QUALLM_API_KEY`` environment variable and
     is sent both as a bearer token and as an ``api-key`` header so that the
-    usual hosted variants accept it.
+    usual hosted variants accept it.  Requests go through the standard
+    library's ``urllib``, so proxies come from the environment and an https
+    endpoint is checked against the default trust store (``SSL_CERT_FILE``).
     """
 
     def __init__(self, endpoint: str, model: str, temperature: float,
@@ -259,10 +262,14 @@ class HttpBackend:
             "Content-Type": "application/json",
             "Authorization": f"Bearer {key}",
             "api-key": key,
+            "User-Agent": "quallm",
         }
 
     def send(self, prompt: str, tag: str) -> tuple[str, int, int]:
-        import requests
+        # Imported here: only a live call needs them, and the CLI starts often.
+        import http.client
+        import urllib.error
+        import urllib.request
 
         payload = {
             "model": self.model,
@@ -271,26 +278,32 @@ class HttpBackend:
             "max_tokens": self.max_output_tokens,
         }
         try:
-            response = requests.post(
-                self.endpoint, json=payload, headers=self._headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(
+                self.endpoint, json.dumps(payload).encode("utf-8"), self._headers)
+            try:
+                response = urllib.request.urlopen(request, timeout=self.timeout)
+            except urllib.error.HTTPError as exc:
+                response = exc  # a 4xx or 5xx reply, read like any other
+            with response:
+                status, headers, body = (response.status, response.headers,
+                                         response.read())
+        # HTTPError, an OSError, is caught above; a ValueError is a bad URL.
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise NetworkError(str(exc)) from exc
 
-        if response.status_code == 429:
-            raise ThrottledError(f"HTTP 429: {response.text[:200]}",
-                                 retry_after=parse_retry_after(response.headers))
-        if response.status_code >= 500:
-            raise NetworkError(f"HTTP {response.status_code}")
-        if response.status_code >= 400:
-            body = response.text
-            if "content_filter" in body or "content_policy" in body:
-                raise ContentFilteredError(body[:200])
-            raise BackendError(f"HTTP {response.status_code}: {body[:200]}")
+        if status >= 300:  # a 3xx here is a 307/308, which urllib does not follow
+            text = body.decode(errors="replace")
+            if status == 429:
+                raise ThrottledError(f"HTTP 429: {text[:200]}",
+                                     retry_after=parse_retry_after(headers))
+            if status >= 500:
+                raise NetworkError(f"HTTP {status}")
+            if "content_filter" in text or "content_policy" in text:
+                raise ContentFilteredError(text[:200])
+            raise BackendError(f"HTTP {status}: {text[:200]}")
 
         try:
-            data = response.json()
+            data = json.loads(body)
             choice = data["choices"][0]
             if choice.get("finish_reason") == "content_filter":
                 raise ContentFilteredError("finish_reason=content_filter")

@@ -184,12 +184,15 @@ class Checkpoint:
         A line needs a string ``key``, and a failed line a category from
         ``FAILURE_CATEGORIES``.  ``check(payload)`` raises KeyError,
         TypeError or ValueError for an ``ok`` payload that lacks what the
-        stage reads; its line is quarantined too.
+        stage reads; its line is quarantined too.  When a line was
+        quarantined or superseded by a later line of its key, the file is
+        rewritten to the last good line of each key, in file order.
         """
         if not self.path.exists():
             return {}
         entries: dict[str, dict] = {}
-        good_lines: list[str] = []
+        good_lines: dict[str, str] = {}  # key -> its last good line
+        superseded = False
         bad_lines: list[str] = []
         with self.path.open("r", encoding="utf-8") as fh:
             for line in fh:
@@ -213,7 +216,9 @@ class Checkpoint:
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     bad_lines.append(stripped)
                     continue
-                good_lines.append(stripped)
+                superseded = superseded or key in good_lines
+                good_lines.pop(key, None)  # re-inserted, so kept lines keep file order
+                good_lines[key] = stripped
                 entries[key] = record
         if bad_lines:
             logger.warning(
@@ -223,8 +228,9 @@ class Checkpoint:
             with ndjson.Appender(self.quarantine_path) as out:
                 out.write("".join(line + "\n" for line in bad_lines))
                 out.sync()
+        if bad_lines or superseded:
             ndjson.write_text(
-                self.path, "".join(line + "\n" for line in good_lines)
+                self.path, "".join(line + "\n" for line in good_lines.values())
             )
         return entries
 

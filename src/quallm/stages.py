@@ -442,7 +442,8 @@ def classify_chunk(
 
 def parse_subtheme_output(text: str, theme: str, expected_n: int) -> SubThemeSet:
     """Parse ranked sub-themes; count, rank-permutation and distinct-title
-    violations all raise MalformedStageOutput (callers retry)."""
+    violations, a title or description that is missing or not a string, and
+    a bool or fractional rank all raise MalformedStageOutput (callers retry)."""
     body = strip_code_fences(text)
     items: Optional[list] = None
     try:
@@ -470,14 +471,18 @@ def parse_subtheme_output(text: str, theme: str, expected_n: int) -> SubThemeSet
     for item in items:
         if not isinstance(item, dict):
             raise MalformedStageOutput("sub-theme item is not an object")
-        try:
-            rank = int(item.get("concern_rank", item.get("rank")))
-            title = str(item.get("concern_title", item.get("title")))
-            description = str(
-                item.get("concern_description", item.get("description", ""))
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedStageOutput(f"bad sub-theme item {item!r}") from exc
+        rank = item.get("concern_rank", item.get("rank"))
+        title = item.get("concern_title", item.get("title"))
+        description = item.get("concern_description", item.get("description"))
+        # A whole float or a string of digits is a rank; a bool or a fraction is not.
+        if (isinstance(rank, float) and rank.is_integer()
+                or isinstance(rank, str) and rank.isascii() and rank.strip().isdigit()):
+            rank = int(rank)
+        if type(rank) is not int:
+            raise MalformedStageOutput(f"bad sub-theme rank in {item!r}")
+        if not (isinstance(title, str) and isinstance(description, str)):
+            raise MalformedStageOutput(f"sub-theme title and description must be"
+                                       f" strings in {item!r}")
         entries.append(SubThemeEntry(rank=rank, title=title, description=description))
 
     if len(entries) != expected_n:

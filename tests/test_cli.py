@@ -10,7 +10,7 @@ import pytest
 import quallm
 from quallm import ndjson
 from quallm.cli import main
-from quallm.config import load_config
+from quallm.config import load_config, parse_config_text
 from quallm.gateway import Gateway, MockBackend
 from quallm.pipeline import PipelineRunner, RunPaths
 
@@ -582,6 +582,32 @@ def test_unparseable_number_names_key_and_line(tmp_path, capsys, setting, messag
     rc = main(["generate", "--config", str(config)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, key", [
+    ("report", "quotes"), ("generate", "template_dir"), ("generate", "run_dir"),
+    ("generate", "taxonomy"),
+])
+def test_empty_path_value_exits_2(tmp_path, capsys, command, key):
+    # An empty value would name the config directory itself.
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"run_dir=x\nbackend=mock\nmock_script=s\n{key}=  \n")
+    rc = main([command, "--config", str(config)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: config line 4: {key} must be a non-empty path, got ''\n")
+
+
+def test_readme_config_block_parses():
+    readme = Path(quallm.__file__).resolve().parents[2] / "README.md"
+    (block,) = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                          re.S)
+    values = parse_config_text(block)
+    assert values["temperature"] == 0.2
+    assert values["backend"] == "mock"
+    assert values["quotes"] == Path("quotes.json")
+    assert values["output_rate"] == 0.03
+    assert not any("#" in str(value) for value in values.values())
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -1,12 +1,21 @@
+import contextlib
 import heapq
 import http.server
 import json
 import math
+import os
+import shutil
+import ssl
+import subprocess
 import sys
 import threading
 import time
+import urllib.request
+from pathlib import Path
 
 import pytest
+
+import quallm
 
 from quallm.cli import _build_gateway
 from quallm.config import load_config
@@ -498,16 +507,26 @@ def test_run_log_records_every_outcome(tmp_path):
 
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):
-    script: list = []
-    received: list = []  # (headers, parsed JSON body) of every request
+    script: list = []  # a None entry stalls: no reply until ``release`` is set
+    # (headers, parsed JSON body) of every request; header lookups ignore
+    # case, as field names do on the wire (RFC 9110 section 5.1).
+    received: list = []
+    raw_bodies: list = []
+    paths: list = []
+    release = threading.Event()
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        self.received.append((dict(self.headers), json.loads(self.rfile.read(length))))
-        status, payload, *headers = (
-            self.script.pop(0) if self.script else (200, _ok_payload("default"))
-        )
-        body = json.dumps(payload).encode()
+        raw = self.rfile.read(length)
+        self.raw_bodies.append(raw)
+        self.paths.append(self.path)
+        self.received.append((self.headers, json.loads(raw)))
+        entry = self.script.pop(0) if self.script else (200, _ok_payload("default"))
+        if entry is None:
+            self.release.wait(10)
+            return
+        status, payload, *headers = entry
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -534,13 +553,27 @@ def live(url):
 @pytest.fixture
 def stub_server(monkeypatch):
     monkeypatch.setenv("QUALLM_API_KEY", "test-key")
+    with _serving(http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)) as server:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/chat/completions"
+
+
+@contextlib.contextmanager
+def _serving(server):
+    _StubHandler.script = []
     _StubHandler.received = []
-    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    _StubHandler.raw_bodies = []
+    _StubHandler.paths = []
+    _StubHandler.release = threading.Event()
+    # A short poll keeps shutdown from waiting out the default half second.
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
-    yield server, f"http://127.0.0.1:{server.server_address[1]}/chat/completions"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield server
+    finally:
+        _StubHandler.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 def test_http_backend_success(stub_server):
@@ -676,3 +709,131 @@ def test_http_backend_wire_format(stub_server, tmp_path):
     })
     assert headers["Authorization"] == "Bearer test-key"
     assert headers["api-key"] == "test-key"
+
+
+def test_http_backend_request_body_bytes(stub_server):
+    server, url = stub_server
+    backend = live(url)
+    assert backend.timeout == 120.0
+    assert backend.send("caf\u00e9 \u2713 \"q\"", "gen:gk1") == ("default", 12, 5)
+    assert _StubHandler.raw_bodies == [
+        b'{"model": "demo", "messages": [{"role": "user", "content":'
+        b' "caf\\u00e9 \\u2713 \\"q\\""}], "temperature": 0.2, "max_tokens": 4096}'
+    ]
+    ((headers, _),) = _StubHandler.received
+    assert headers["Content-Type"] == "application/json"
+    assert headers["User-Agent"] == "quallm"
+
+
+def test_http_backend_needs_no_requests(stub_server, monkeypatch):
+    server, url = stub_server
+    monkeypatch.setitem(sys.modules, "requests", None)  # import requests fails
+    result = Gateway(live(url), sleep=lambda _: None).complete(*req("live:6"))
+    assert isinstance(result, CompletionResult)
+    assert result.text == "default"
+
+
+def test_cli_import_loads_no_http_module():
+    # The HTTP modules load on the first live call, not on every CLI start.
+    src = Path(quallm.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, quallm.cli; print(sorted(m for m in"
+         " ('requests', 'urllib.request', 'http.client') if m in sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("hang_up", [False, True], ids=["stalled", "hung-up"])
+def test_http_backend_reply_without_answer_is_network(stub_server, hang_up):
+    server, url = stub_server
+    if hang_up:
+        _StubHandler.release.set()  # the stub closes the connection at once
+    _StubHandler.script = [None]
+    backend = HttpBackend(url, "demo", 0.2, 4096, timeout=0.2)
+    started = time.monotonic()
+    failure = Gateway(backend, retry=RetryPolicy(max_attempts=1)).complete(
+        *req("live:7"))
+    assert isinstance(failure, GatewayFailure)
+    assert failure.category == "network"
+    assert failure.attempts == 1
+    assert time.monotonic() - started < 5
+
+
+@pytest.mark.parametrize("status, payload, category", [
+    (503, {"error": "busy"}, "network"),
+    (404, {"error": "no such model"}, "other"),
+    (307, {}, "other"),
+    (400, {"error": {"code": "content_policy_violation"}}, "content_filtered"),
+    (200, b'{"choices": [', "malformed_output"),
+], ids=["5xx", "4xx", "unfollowed-redirect", "content-policy", "bad-json"])
+def test_http_backend_reply_category(stub_server, status, payload, category):
+    server, url = stub_server
+    _StubHandler.script = [(status, payload)]
+    failure = Gateway(live(url), retry=RetryPolicy(max_attempts=1),
+                      sleep=lambda _: None).complete(*req("live:8"))
+    assert isinstance(failure, GatewayFailure)
+    assert failure.category == category
+    assert failure.attempts == 1
+
+
+def test_http_backend_uses_proxy_from_environment(stub_server, monkeypatch):
+    server, url = stub_server
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", url.rsplit("/chat/", 1)[0])
+    # urlopen reads the proxy variables when it builds its shared opener.
+    urllib.request.install_opener(None)
+    try:
+        # Nothing listens on port 1, so only the proxy can answer.
+        result = live("http://127.0.0.1:1/proxied").send("p", "live:10")
+    finally:
+        urllib.request.install_opener(None)
+    assert result == ("default", 12, 5)
+    assert _StubHandler.paths == ["http://127.0.0.1:1/proxied"]
+
+
+_CERT_CONFIG = """\
+[req]
+distinguished_name = dn
+x509_extensions = ext
+prompt = no
+[dn]
+CN = 127.0.0.1
+[ext]
+subjectAltName = IP:127.0.0.1
+basicConstraints = critical, CA:TRUE
+keyUsage = critical, digitalSignature, keyEncipherment, keyCertSign
+subjectKeyIdentifier = hash
+authorityKeyIdentifier = keyid:always
+"""
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl CLI")
+def test_http_backend_https_round_trip(tmp_path, monkeypatch):
+    # A self-signed certificate, trusted through the system trust store's
+    # SSL_CERT_FILE override, as a deployment's private CA would be.  Its
+    # extensions are the ones Python 3.13's strict checks require of a CA.
+    (tmp_path / "cert.cnf").write_text(_CERT_CONFIG)
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+         "-config", "cert.cnf", "-keyout", "key.pem", "-out", "cert.pem"],
+        cwd=tmp_path, capture_output=True, check=True, timeout=60,
+    )
+    monkeypatch.setenv("QUALLM_API_KEY", "test-key")
+    monkeypatch.setenv("SSL_CERT_FILE", str(tmp_path / "cert.pem"))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(tmp_path / "cert.pem", tmp_path / "key.pem")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    with _serving(server):
+        _StubHandler.script = [(200, _ok_payload("over tls"))]
+        url = f"https://127.0.0.1:{server.server_address[1]}/chat/completions"
+        result = Gateway(live(url), sleep=lambda _: None).complete(*req("live:11"))
+    assert isinstance(result, CompletionResult)
+    assert result.text == "over tls"
+    assert len(_StubHandler.received) == 1

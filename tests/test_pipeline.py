@@ -586,6 +586,52 @@ def test_failed_units_recorded_and_retry_failed_recovers(fixture, tmp_path):
     assert concerns_after == concerns_before + recovered
 
 
+def test_load_keeps_only_the_last_line_of_each_key(fixture, tmp_path):
+    run_dir = tmp_path / "run"
+    ingest_into(fixture, run_dir)
+    entries = list(ndjson.iter_records(fixture.script_path))
+    victim = next(e["request_tag"] for e in entries
+                  if e["request_tag"].startswith("gen:"))
+    throttles = [{"request_tag": victim, "failure": "throttled"}] * 6
+    paths = RunPaths(run_dir)
+    gateway = Gateway(MockBackend(throttles + entries), sleep=lambda _: None)
+    from quallm.config import load_config
+
+    study = load_config(fixture.config_path).study()
+    runner = PipelineRunner(paths, study, gateway, workers=2)
+    assert runner.run_all()[0].failed == 1
+    assert all(r.failed == 0 for r in runner.retry_failed())
+    # A key that names no current unit keeps its last line too.
+    gone = [{"key": "gone", "status": "failed", "category": "network",
+             "attempts": attempts} for attempts in (1, 2)]
+    with paths.checkpoint("generate").open("a") as fh:
+        fh.write("".join(ndjson.dumps(record) + "\n" for record in gone))
+
+    expected = {}
+    for stage in STAGES:
+        lines = paths.checkpoint(stage).read_text().splitlines()
+        keys = [json.loads(line)["key"] for line in lines]
+        last = {key: index for index, key in enumerate(keys)}
+        expected[stage] = [lines[index] for index in sorted(last.values())]
+    generate_keys = [json.loads(line)["key"]
+                     for line in paths.checkpoint("generate").read_text().splitlines()]
+    assert generate_keys.count(victim.removeprefix("gen:")) == 2
+    assert generate_keys.count("gone") == 2
+    outputs = stage_outputs(paths)
+    summaries = {stage: paths.summary(stage).read_bytes() for stage in STAGES}
+
+    backend = MockBackend([])
+    runner = PipelineRunner(paths, study, Gateway(backend), workers=2)
+    assert all(r.executed == 0 for r in runner.run_all())
+    assert backend.calls == 0
+    for stage in STAGES:
+        assert paths.checkpoint(stage).read_text().splitlines() == expected[stage]
+    assert json.loads(expected["generate"][-1]) == gone[-1]
+    assert stage_outputs(paths) == outputs
+    assert {stage: paths.summary(stage).read_bytes() for stage in STAGES} == summaries
+    assert not paths.quarantine("generate").exists()
+
+
 def test_classification_failures_conserve_concerns(fixture, tmp_path):
     run_dir = tmp_path / "run"
     ingest_into(fixture, run_dir)

@@ -645,6 +645,35 @@ def test_parse_subtheme_output_duplicate_titles_rejected():
         parse_subtheme_output(payload, "A", 5)
 
 
+@pytest.mark.parametrize("items", [
+    [{"concern_rank": 1, "concern_description": "d"}, {"rank": 2, "title": "t"}],
+    [{"rank": 1, "title": "a", "description": "d"}, {"rank": 2.9, "title": 7}],
+    [{"rank": 1, "title": "a", "description": "d"}, {"rank": 2, "title": 7,
+                                                     "description": "e"}],
+    [{"rank": 1, "title": "a", "description": "d"}, {"rank": 2, "title": "b",
+                                                     "description": None}],
+    [{"rank": 1, "title": "a", "description": "d"}, {"rank": 2, "title": "b"}],
+    [{"rank": True, "title": "a", "description": "d"}, {"rank": 2, "title": "b",
+                                                        "description": "e"}],
+    [{"rank": 1, "title": "a", "description": "d"}, {"rank": 2.9, "title": "b",
+                                                     "description": "e"}],
+    [{"rank": 1, "title": "a", "description": "d"}, {"rank": "2.0", "title": "b",
+                                                     "description": "e"}],
+], ids=["no-title", "issue-example", "number-title", "null-description",
+        "no-description", "bool-rank", "fraction-rank", "fraction-string-rank"])
+def test_parse_subtheme_output_bad_item_rejected(items):
+    # Re-asked rather than kept as a sub-theme titled "None" or "7".
+    with pytest.raises(MalformedStageOutput):
+        parse_subtheme_output(json.dumps(items), "A", 2)
+
+
+def test_parse_subtheme_output_whole_ranks_accepted():
+    items = [{"rank": 1.0, "title": "a", "description": "d"},
+             {"concern_rank": " 2", "concern_title": "b", "concern_description": "e"}]
+    subthemes = parse_subtheme_output(json.dumps(items), "A", 2)
+    assert [(e.rank, e.title) for e in subthemes.by_rank()] == [(1, "a"), (2, "b")]
+
+
 # ---------------------------------------------------------------------------
 # prevalence
 # ---------------------------------------------------------------------------
