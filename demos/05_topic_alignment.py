@@ -18,6 +18,7 @@ from quallm.cli import main as quallm  # noqa: E402
 
 logging.basicConfig(format="  note: %(message)s", stream=sys.stdout)
 from quallm.topics import (  # noqa: E402
+    COVERAGE_KS,
     TopicParams,
     coverage_k,
     distinctness,
@@ -58,8 +59,8 @@ def main() -> None:
 
     print(f"\ndistinctness: {distinctness(assigned):.2f}"
           " (one collision over five sub-themes)")
-    for k in (1, 2):
-        print(f"coverage(k={k}): {coverage_k(assigned, model, k, n=5):.2f}")
+    for k in COVERAGE_KS:
+        print(f"coverage(k={k}): {coverage_k(assigned, model, k):.2f}")
 
     print("\n--- same evaluation over a full mock run directory ---")
     with tempfile.TemporaryDirectory(prefix="quallm-demo-topics-") as tmp:

@@ -89,7 +89,6 @@ def _runner(config: RunConfig, paths: RunPaths) -> PipelineRunner:
         config.study(),
         _build_gateway(config, paths),
         workers=config.concurrency,
-        template_dir=config.template_dir,
     )
 
 
@@ -134,9 +133,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     paths.run_dir.mkdir(parents=True, exist_ok=True)
     write_groups(paths.groups, groups)
 
-    print(f"submissions parsed: {len(submissions.records)}"
-          f" (skipped {submissions.skipped})")
-    print(f"comments parsed: {len(comments.records)} (skipped {comments.skipped})")
+    for label, parsed in (("submissions", submissions), ("comments", comments)):
+        reasons = ", ".join(f"{reason}={n}"
+                            for reason, n in sorted(parsed.skip_reasons.items()))
+        print(f"{label} parsed: {len(parsed.records)}"
+              f" (skipped {parsed.skipped}{': ' + reasons if reasons else ''})")
+    print(f"duplicate submissions dropped: {threads.duplicate_submissions}")
     print(f"orphan comments dropped: {threads.orphan_comments}")
     print(f"threads retained: {len(retained)} (dropped short: {dropped},"
           f" min_chars={config.min_chars})")
@@ -354,6 +356,7 @@ def _evaluate_metric(
             "distinctness": t.distinctness,
             "coverage": {str(k): v for k, v in t.coverage.items()},
             "assigned": t.assigned,
+            "zero_similarity": t.zero_similarity,
             "error": t.error,
         }
         for t in evaluation.per_theme

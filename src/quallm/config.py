@@ -97,6 +97,7 @@ class RunConfig:
             source_description=self.source,
             max_prompt_chars=self.max_prompt_chars,
             parity_retries=self.parity_retries,
+            template_dir=self.template_dir,
         )
 
 

@@ -359,14 +359,17 @@ def logged_tokens(log_path: Path) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+# Each retry's delay doubles, then moves by up to 25% either way.
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff for throttle/transport errors."""
 
     max_attempts: int = 6
     base_delay: float = 2.0
-    multiplier: float = 2.0
-    jitter: float = 0.25
 
     def __post_init__(self) -> None:
         # Named by their config keys, which is where a bad value comes from.
@@ -377,14 +380,13 @@ class RetryPolicy:
 
     def delay(self, attempt: int, rng: random.Random) -> float:
         """Delay before retry number *attempt* (1-based); nondecreasing."""
-        base = self.base_delay * self.multiplier ** (attempt - 1)
-        return base * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+        base = self.base_delay * BACKOFF_MULTIPLIER ** (attempt - 1)
+        return base * rng.uniform(1.0 - BACKOFF_JITTER, 1.0 + BACKOFF_JITTER)
 
     def budget(self) -> float:
         """Seconds the un-jittered schedule sleeps over ``max_attempts``."""
-        return sum(
-            self.base_delay * self.multiplier ** k for k in range(self.max_attempts - 1)
-        )
+        return sum(self.base_delay * BACKOFF_MULTIPLIER ** k
+                   for k in range(self.max_attempts - 1))
 
 
 class Gateway:

@@ -23,9 +23,6 @@ from .models import BatchGroup, ForumComment, ForumSubmission, ThreadDocument
 # analyzable content and are treated as empty text.
 DELETED_MARKERS = frozenset({"[deleted]", "[removed]"})
 
-DEFAULT_MIN_CHARS = 100
-DEFAULT_GROUP_SIZE = 5
-
 _GROUP_KEY_HEX_LEN = 16
 
 
@@ -58,7 +55,6 @@ def _parse_submission(record: dict) -> ForumSubmission:
         title=record.get("title") if isinstance(record.get("title"), str) else "",
         body=_clean_body(record.get("selftext")),
         created_at=int(record["created_utc"]),
-        source_label=str(record.get("subreddit", "")),
     )
 
 
@@ -184,7 +180,7 @@ def build_threads(
 
 
 def filter_short(
-    docs: Iterable[ThreadDocument], min_chars: int = DEFAULT_MIN_CHARS
+    docs: Iterable[ThreadDocument], min_chars: int
 ) -> tuple[list[ThreadDocument], int]:
     """Keep documents whose text is at least *min_chars* long (inclusive)."""
     if min_chars < 1:
@@ -205,9 +201,7 @@ def derive_group_key(submission_ids: Iterable[str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:_GROUP_KEY_HEX_LEN]
 
 
-def group_batches(
-    docs: list[ThreadDocument], group_size: int = DEFAULT_GROUP_SIZE
-) -> list[BatchGroup]:
+def group_batches(docs: list[ThreadDocument], group_size: int) -> list[BatchGroup]:
     """Partition documents, in input order, into groups of at most *group_size*."""
     if group_size < 1:
         raise ValueError("group_size must be >= 1")

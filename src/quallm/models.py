@@ -9,10 +9,20 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterable, Optional
 
 # Sub-themes take the letters A, B, ... and their catch-all the next one.
 MAX_SUBTHEMES = len(string.ascii_uppercase) - 1
+
+
+def parse_rank(value: object) -> Optional[int]:
+    """*value* as a rank: an int, a whole float or a string of digits;
+    None for anything else, a bool or a fraction included."""
+    if (isinstance(value, float) and value.is_integer()
+            or isinstance(value, str) and value.isascii() and value.strip().isdigit()):
+        return int(value)
+    return value if type(value) is int else None
 
 
 @dataclass(frozen=True)
@@ -23,7 +33,6 @@ class ForumSubmission:
     title: str
     body: str
     created_at: int
-    source_label: str = ""
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -334,6 +343,8 @@ class StudyConfig:
     # Rough context guard for generation prompts; ~4 chars per token.
     max_prompt_chars: int = 480_000
     parity_retries: int = 2
+    # Overrides of the packaged prompt templates; None uses the packaged ones.
+    template_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.subtheme_count <= MAX_SUBTHEMES:

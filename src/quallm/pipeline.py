@@ -361,8 +361,7 @@ class PipelineRunner:
         paths: RunPaths,
         study: StudyConfig,
         gateway: Gateway,
-        workers: int = 8,
-        template_dir: Optional[Path] = None,
+        workers: int,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -370,7 +369,6 @@ class PipelineRunner:
         self.study = study
         self.gateway = gateway
         self.workers = workers
-        self.template_dir = template_dir
 
     # -- generic unit execution ------------------------------------------
 
@@ -550,7 +548,7 @@ class PipelineRunner:
 
         def generate(group: BatchGroup) -> dict:
             return _unit_record(
-                generate_for_group(self.gateway, group, self.study, self.template_dir),
+                generate_for_group(self.gateway, group, self.study),
                 lambda concerns: {"concerns": [c.to_dict() for c in concerns]},
             )
 
@@ -586,8 +584,7 @@ class PipelineRunner:
         concerns = load_concerns(self.paths.concerns)
 
         def classify(index: int, chunk: Sequence[Concern]) -> LetterResult:
-            return classify_chunk(self.gateway, chunk, self.study, index,
-                                  self.template_dir)
+            return classify_chunk(self.gateway, chunk, self.study, index)
 
         report = self._run_letter_chunks(
             STAGE_CLASSIFY,
@@ -607,8 +604,7 @@ class PipelineRunner:
 
         def aggregate(category: ThemeCategory, concerns: list[Concern]) -> dict:
             return _unit_record(
-                run_aggregation(self.gateway, category, concerns, self.study,
-                                self.template_dir),
+                run_aggregation(self.gateway, category, concerns, self.study),
                 lambda subthemes: {"subthemes": subthemes.to_dict()},
             )
 
@@ -652,8 +648,7 @@ class PipelineRunner:
 
         def assigner(subthemes: SubThemeSet) -> LetterCall:
             def assign(index: int, chunk: Sequence[Concern]) -> LetterResult:
-                return prevalence_chunk(self.gateway, subthemes, chunk, self.study,
-                                        index, self.template_dir)
+                return prevalence_chunk(self.gateway, subthemes, chunk, self.study, index)
 
             return assign
 

@@ -2,9 +2,9 @@
 
 Templates are plain-text assets with ``{{slot}}`` placeholders; the
 defaults ship with the package and can be overridden per run by pointing
-``template_dir`` at a directory containing files of the same names. A
-packaged default is read once per process; an override is read on every
-render, so an edited override takes effect at once.
+``StudyConfig.template_dir`` at a directory containing files of the same
+names. A packaged default is read once per process; an override is read
+on every render, so an edited override takes effect at once.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 
 class PromptTooLargeError(ValueError):
     """Raised when a rendered prompt exceeds the configured context budget."""
-
-    def __init__(self, group_key: str, size: int, budget: int):
-        super().__init__(
-            f"generation prompt for group {group_key} is {size} chars,"
-            f" over the {budget}-char budget"
-        )
-        self.group_key = group_key
 
 
 def load_template(name: str, template_dir: Optional[Path] = None) -> str:
@@ -105,13 +98,9 @@ def numbered_concern_lines(concerns: Sequence[Concern]) -> str:
     )
 
 
-def render_generation_prompt(
-    group: BatchGroup,
-    config: StudyConfig,
-    template_dir: Optional[Path] = None,
-) -> str:
+def render_generation_prompt(group: BatchGroup, config: StudyConfig) -> str:
     """Build the concern-generation prompt for one batch group."""
-    template = load_template("generation", template_dir)
+    template = load_template("generation", config.template_dir)
     prompt = fill_slots(
         template,
         {
@@ -121,16 +110,17 @@ def render_generation_prompt(
         },
     )
     if len(prompt) > config.max_prompt_chars:
-        raise PromptTooLargeError(group.group_key, len(prompt), config.max_prompt_chars)
+        raise PromptTooLargeError(
+            f"generation prompt for group {group.group_key} is {len(prompt)} chars,"
+            f" over the {config.max_prompt_chars}-char budget"
+        )
     return prompt
 
 
 def render_classification_prompt(
-    concerns: Sequence[Concern],
-    config: StudyConfig,
-    template_dir: Optional[Path] = None,
+    concerns: Sequence[Concern], config: StudyConfig
 ) -> str:
-    template = load_template("classification", template_dir)
+    template = load_template("classification", config.template_dir)
     return fill_slots(
         template,
         {
@@ -145,11 +135,10 @@ def _render_aggregation(
     category: ThemeCategory,
     pairs: Iterable[tuple[str, str]],
     config: StudyConfig,
-    template_dir: Optional[Path],
 ) -> str:
     """Aggregation prompt listing (title, description) pairs on consecutive
     lines, per the aggregation format."""
-    template = load_template("aggregation", template_dir)
+    template = load_template("aggregation", config.template_dir)
     described = f"{category.name}: {category.description}" if category.description \
         else category.name
     return fill_slots(
@@ -164,28 +153,21 @@ def _render_aggregation(
 
 
 def render_aggregation_prompt(
-    category: ThemeCategory,
-    concerns: Sequence[Concern],
-    config: StudyConfig,
-    template_dir: Optional[Path] = None,
+    category: ThemeCategory, concerns: Sequence[Concern], config: StudyConfig
 ) -> str:
     return _render_aggregation(
-        category, ((c.title, c.description) for c in concerns), config, template_dir
+        category, ((c.title, c.description) for c in concerns), config
     )
 
 
 def render_merge_prompt(
-    category: ThemeCategory,
-    candidates: Sequence[SubThemeSet],
-    config: StudyConfig,
-    template_dir: Optional[Path] = None,
+    category: ThemeCategory, candidates: Sequence[SubThemeSet], config: StudyConfig
 ) -> str:
     """Aggregation prompt over candidate sub-themes from the map calls."""
     return _render_aggregation(
         category,
         ((e.title, e.description) for c in candidates for e in c.by_rank()),
         config,
-        template_dir,
     )
 
 

@@ -16,7 +16,13 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import ndjson
-from .models import SubThemeAssignment, SubThemeSet, ThemeAssignment, ThemeTaxonomy
+from .models import (
+    SubThemeAssignment,
+    SubThemeSet,
+    ThemeAssignment,
+    ThemeTaxonomy,
+    parse_rank,
+)
 from .pipeline import RunPaths
 
 logger = logging.getLogger(__name__)
@@ -188,17 +194,22 @@ QuoteMap = dict[tuple[str, int], str]
 
 def load_quotes(path: Path) -> QuoteMap:
     """Load the human-edited quote file: a JSON list of
-    {"theme": letter, "rank": int, "quote": text} objects."""
+    {"theme": letter, "rank": int, "quote": text} objects, at most one
+    per (theme, rank). Ranks follow ``parse_rank``."""
     data = ndjson.read_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of quote objects")
     quotes: QuoteMap = {}
     for index, item in enumerate(data, start=1):
-        try:
-            quotes[(str(item["theme"]), int(item["rank"]))] = str(item["quote"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: entry {index} needs a theme, an integer rank"
-                             " and a quote") from exc
+        item = item if isinstance(item, dict) else {}
+        theme, quote = item.get("theme"), item.get("quote")
+        rank = parse_rank(item.get("rank"))
+        if not (isinstance(theme, str) and rank is not None and isinstance(quote, str)):
+            raise ValueError(f"{path}: entry {index} needs a string theme, an integer"
+                             " rank and a string quote")
+        if (theme, rank) in quotes:
+            raise ValueError(f"{path}: entry {index} repeats theme {theme} rank {rank}")
+        quotes[(theme, rank)] = quote
     return quotes
 
 

@@ -24,7 +24,6 @@ import logging
 import re
 import string
 from collections import Counter
-from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from .gateway import Gateway, GatewayFailure, MALFORMED_OUTPUT, OTHER
@@ -36,6 +35,7 @@ from .models import (
     SubThemeEntry,
     SubThemeSet,
     ThemeCategory,
+    parse_rank,
 )
 from .prompts import (
     PromptTooLargeError,
@@ -56,7 +56,8 @@ QUOTE_ABSENT = "absent"
 FUZZY_OVERLAP_THRESHOLD = 0.8
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9]*\s*\n(.*)\n```\s*$", re.DOTALL)
-_PAIR_RE = re.compile(r"(\d+)\s*[:=]\s*[\"']?([A-Za-z])[\"']?")
+# A serial and one letter; "1: AB" yields no pair, so parity re-asks.
+_PAIR_RE = re.compile(r"(\d+)\s*[:=]\s*[\"']?([A-Za-z])(?![A-Za-z])")
 
 
 class MalformedStageOutput(ValueError):
@@ -301,10 +302,7 @@ def _attach_quote_checks(concerns: list[Concern], group: BatchGroup) -> list[Con
 
 
 def generate_for_group(
-    gateway: Gateway,
-    group: BatchGroup,
-    config: StudyConfig,
-    template_dir: Optional[Path] = None,
+    gateway: Gateway, group: BatchGroup, config: StudyConfig
 ) -> Union[list[Concern], GatewayFailure]:
     """Run the generation stage for one batch group.
 
@@ -313,7 +311,7 @@ def generate_for_group(
     bias toward thread openings).
     """
     try:
-        prompt = render_generation_prompt(group, config, template_dir)
+        prompt = render_generation_prompt(group, config)
     except PromptTooLargeError as exc:
         if len(group.members) == 1:
             return GatewayFailure(category=OTHER, attempts=0, detail=str(exc))
@@ -324,7 +322,7 @@ def generate_for_group(
                 members=(member,),
                 earliest_timestamp=member.created_at,
             )
-            sub = generate_for_group(gateway, singleton, config, template_dir)
+            sub = generate_for_group(gateway, singleton, config)
             if isinstance(sub, GatewayFailure):
                 return sub
             concerns.extend(sub)
@@ -346,14 +344,28 @@ def generate_for_group(
 
 def parse_serial_letter_map(text: str) -> dict[int, str]:
     """Parse a {serial: letter} response, accepting JSON or the relaxed
-    unquoted form the prompt itself demonstrates ({1: A, 2: B})."""
+    unquoted form the prompt itself demonstrates ({1: A, 2: B}).
+
+    Every serial must be an integer and every letter one ASCII letter;
+    a JSON value such as null, a list or "AB" raises MalformedStageOutput,
+    so the prompt is re-asked rather than the concern counted as "Other".
+    """
     body = strip_code_fences(text)
     try:
         data = json.loads(body)
-        if isinstance(data, dict):
-            return {int(k): str(v).strip().upper() for k, v in data.items()}
-    except (json.JSONDecodeError, TypeError, ValueError):
-        pass
+    except json.JSONDecodeError:
+        data = None
+    if isinstance(data, dict):
+        mapping: dict[int, str] = {}
+        for serial, value in data.items():
+            letter = value.strip() if isinstance(value, str) else ""
+            if not (len(letter) == 1 and letter.isascii() and letter.isalpha()):
+                raise MalformedStageOutput(f"serial {serial}: {value!r} is not one letter")
+            try:
+                mapping[int(serial)] = letter.upper()
+            except ValueError:
+                raise MalformedStageOutput(f"not an integer serial: {serial!r}") from None
+        return mapping
     pairs = _PAIR_RE.findall(body)
     if not pairs:
         raise MalformedStageOutput("no serial: letter pairs found in output")
@@ -417,13 +429,9 @@ def chunk_slices(total: int, chunk_size: int) -> list[tuple[int, int]]:
 
 
 def classify_chunk(
-    gateway: Gateway,
-    concerns: Sequence[Concern],
-    config: StudyConfig,
-    chunk_index: int,
-    template_dir: Optional[Path] = None,
+    gateway: Gateway, concerns: Sequence[Concern], config: StudyConfig, chunk_index: int
 ) -> LetterResult:
-    prompt = render_classification_prompt(concerns, config, template_dir)
+    prompt = render_classification_prompt(concerns, config)
     return _run_letter_chunk(
         gateway,
         prompt,
@@ -474,11 +482,8 @@ def parse_subtheme_output(text: str, theme: str, expected_n: int) -> SubThemeSet
         rank = item.get("concern_rank", item.get("rank"))
         title = item.get("concern_title", item.get("title"))
         description = item.get("concern_description", item.get("description"))
-        # A whole float or a string of digits is a rank; a bool or a fraction is not.
-        if (isinstance(rank, float) and rank.is_integer()
-                or isinstance(rank, str) and rank.isascii() and rank.strip().isdigit()):
-            rank = int(rank)
-        if type(rank) is not int:
+        rank = parse_rank(rank)
+        if rank is None:
             raise MalformedStageOutput(f"bad sub-theme rank in {item!r}")
         if not (isinstance(title, str) and isinstance(description, str)):
             raise MalformedStageOutput(f"sub-theme title and description must be"
@@ -500,7 +505,6 @@ def run_aggregation(
     category: ThemeCategory,
     theme_concerns: Sequence[Concern],
     config: StudyConfig,
-    template_dir: Optional[Path] = None,
 ) -> Union[SubThemeSet, GatewayFailure]:
     """Produce the ranked sub-theme set for one theme.
 
@@ -521,21 +525,18 @@ def run_aggregation(
 
     slices = chunk_slices(len(theme_concerns), config.aggregation_chunk_size)
     if len(slices) == 1:
-        prompt = render_aggregation_prompt(category, theme_concerns, config,
-                                           template_dir)
+        prompt = render_aggregation_prompt(category, theme_concerns, config)
         return ask(prompt, f"agg:{theme}")
 
     candidates: list[SubThemeSet] = []
     for j, (start, end) in enumerate(slices, start=1):
-        prompt = render_aggregation_prompt(
-            category, theme_concerns[start:end], config, template_dir
-        )
+        prompt = render_aggregation_prompt(category, theme_concerns[start:end], config)
         result = ask(prompt, f"agg:{theme}:map:{j}")
         if isinstance(result, GatewayFailure):
             return result
         candidates.append(result)
 
-    merge_prompt = render_merge_prompt(category, candidates, config, template_dir)
+    merge_prompt = render_merge_prompt(category, candidates, config)
     return ask(merge_prompt, f"agg:{theme}:merge")
 
 
@@ -550,9 +551,8 @@ def prevalence_chunk(
     concerns: Sequence[Concern],
     config: StudyConfig,
     chunk_index: int,
-    template_dir: Optional[Path] = None,
 ) -> LetterResult:
-    prompt = render_prevalence_prompt(subthemes, concerns, template_dir)
+    prompt = render_prevalence_prompt(subthemes, concerns, config.template_dir)
     valid = list(subthemes.codes) + [subthemes.catch_all_code]
     return _run_letter_chunk(
         gateway,

@@ -1,7 +1,7 @@
 """Deterministic topic extraction and sub-theme alignment metrics.
 
 The built-in extractor is deliberately simple: term-frequency vectors
-over unigrams/bigrams with stopword removal, greedily clustered by
+over unigrams plus bigrams with stopword removal, greedily clustered by
 cosine similarity against running centroids. It is fully reproducible
 offline, which is what the alignment metrics (distinctness, coverage)
 need; externally produced topic files can be substituted wherever a
@@ -37,19 +37,18 @@ where which while who whom why will with you your yours yourself yourselves
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
+# Coverage windows reported by ``evaluate_aggregation``: the top n*k topics.
+COVERAGE_KS = (1, 2)
+
 
 @dataclass(frozen=True)
 class TopicParams:
     min_topic_size: int = 100
-    ngram_range: tuple[int, int] = (1, 2)
     similarity_threshold: float = 0.3
 
     def __post_init__(self) -> None:
         if self.min_topic_size < 1:
             raise ValueError("min_topic_size must be >= 1")
-        lo, hi = self.ngram_range
-        if not (1 <= lo <= hi):
-            raise ValueError("ngram_range must satisfy 1 <= low <= high")
         if not 0.0 < self.similarity_threshold <= 1.0:
             raise ValueError("similarity_threshold must be in (0, 1]")
 
@@ -84,21 +83,14 @@ class TopicModelOutput:
         return tuple(t.topic_id for t in self.topics)
 
 
-def vectorize(text: str, ngram_range: tuple[int, int] = (1, 2)) -> Counter:
-    """Term-frequency vector over stopword-filtered unigrams and n-grams."""
+def vectorize(text: str) -> Counter:
+    """Term-frequency vector over stopword-filtered unigrams and bigrams."""
     tokens = [
         t for t in _WORD_RE.findall(text.lower())
         if t not in STOPWORDS and len(t) > 1
     ]
-    lo, hi = ngram_range
-    terms: Counter = Counter()
-    for n in range(lo, hi + 1):
-        if n == 1:
-            terms.update(tokens)
-        else:
-            terms.update(
-                " ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-            )
+    terms = Counter(tokens)
+    terms.update(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
     return terms
 
 
@@ -135,7 +127,7 @@ def extract_topics(corpus: Sequence[str], params: TopicParams) -> TopicModelOutp
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    vectors = [vectorize(text, params.ngram_range) for text in corpus]
+    vectors = [vectorize(text) for text in corpus]
     nonempty = [v for v in vectors if v]
     if not nonempty:
         raise ValueError("every document tokenized to nothing; cannot extract topics")
@@ -210,11 +202,7 @@ class MostSimilarResult:
     zero_similarity: bool = False
 
 
-def most_similar_topic(
-    text: str,
-    model: TopicModelOutput,
-    ngram_range: tuple[int, int] = (1, 2),
-) -> MostSimilarResult:
+def most_similar_topic(text: str, model: TopicModelOutput) -> MostSimilarResult:
     """Argmax cosine similarity against topic centroids.
 
     Exact ties go to the better (lower) frequency rank; a text sharing no
@@ -222,7 +210,7 @@ def most_similar_topic(
     """
     if not model.topics:
         raise ValueError("topic model has no topics")
-    vector = vectorize(text, ngram_range)
+    vector = vectorize(text)
     best_topic, best_sim = model.topics[0], 0.0
     for topic in model.topics:  # rank order, so strict > keeps earlier ranks on ties
         sim = cosine(vector, topic.terms)
@@ -247,16 +235,12 @@ def distinctness(assigned_topic_ids: Sequence[str]) -> float:
 
 
 def coverage_k(
-    assigned_topic_ids: Sequence[str],
-    model: TopicModelOutput,
-    k: int,
-    n: Optional[int] = None,
+    assigned_topic_ids: Sequence[str], model: TopicModelOutput, k: int
 ) -> float:
     """Share of unique assigned topics found among the top n*k topics.
 
-    ``n`` defaults to the number of assignments (the sub-theme count).
-    When fewer than n*k topics exist the window is every available topic,
-    with a warning.
+    n is the number of assignments (the sub-theme count). When fewer than
+    n*k topics exist the window is every available topic, with a warning.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -264,8 +248,7 @@ def coverage_k(
         raise ValueError("coverage needs at least one assignment")
     if not model.topics:
         raise ValueError("coverage is undefined without topics")
-    count = len(assigned_topic_ids) if n is None else n
-    window_size = count * k
+    window_size = len(assigned_topic_ids) * k
     if window_size > len(model.topics):
         logger.warning(
             "only %d topics available for a top-%d window; using all of them",
@@ -331,7 +314,6 @@ class AggregationEvaluation:
 def evaluate_aggregation(
     run_dir: Path,
     params: TopicParams,
-    ks: Sequence[int] = (1, 2),
     external_topics_dir: Optional[Path] = None,
 ) -> AggregationEvaluation:
     """Topic-alignment evaluation of every theme's sub-theme set.
@@ -339,10 +321,10 @@ def evaluate_aggregation(
     Per theme: a topic model is fitted on the theme concerns'
     title+description texts (or loaded from ``topics_<L>.json`` under
     *external_topics_dir*), each sub-theme is matched to its most
-    similar topic, and distinctness plus coverage(k) are computed. Both
-    the per-theme mean and the pooled variant over all sub-themes are
-    reported, since either reading of "across all the sub-themes" is
-    defensible.
+    similar topic, and distinctness plus coverage(k) for each k in
+    ``COVERAGE_KS`` are computed. Both the per-theme mean and the pooled
+    variant over all sub-themes are reported, since either reading of
+    "across all the sub-themes" is defensible.
     """
     paths = RunPaths(run_dir)
     theme_concerns = themed_concerns(paths, "eval")
@@ -350,7 +332,7 @@ def evaluate_aggregation(
 
     per_theme: list[ThemeAlignment] = []
     pooled_pairs: list[tuple[str, str]] = []
-    pooled_in_window: dict[int, set[tuple[str, str]]] = {k: set() for k in ks}
+    pooled_in_window: dict[int, set[tuple[str, str]]] = {k: set() for k in COVERAGE_KS}
 
     for subthemes in subtheme_sets:
         theme = subthemes.theme
@@ -379,14 +361,12 @@ def evaluate_aggregation(
             continue
 
         matches = [
-            most_similar_topic(
-                f"{entry.title} {entry.description}", model, params.ngram_range
-            )
+            most_similar_topic(f"{entry.title} {entry.description}", model)
             for entry in subthemes.by_rank()
         ]
         assigned = [m.topic_id for m in matches]
         n = len(assigned)
-        coverage = {k: coverage_k(assigned, model, k, n=n) for k in ks}
+        coverage = {k: coverage_k(assigned, model, k) for k in COVERAGE_KS}
         per_theme.append(
             ThemeAlignment(
                 theme=theme,
@@ -397,7 +377,7 @@ def evaluate_aggregation(
             )
         )
         pooled_pairs.extend((theme, tid) for tid in assigned)
-        for k in ks:
+        for k in COVERAGE_KS:
             window = set(model.topic_ids[: min(n * k, len(model.topics))])
             pooled_in_window[k].update(
                 (theme, tid) for tid in set(assigned) if tid in window
@@ -413,10 +393,10 @@ def evaluate_aggregation(
         mean_distinctness=sum(t.distinctness for t in usable) / len(usable),
         pooled_distinctness=len(unique_pairs) / len(pooled_pairs),
         mean_coverage={
-            k: sum(t.coverage[k] for t in usable) / len(usable) for k in ks
+            k: sum(t.coverage[k] for t in usable) / len(usable) for k in COVERAGE_KS
         },
         pooled_coverage={
-            k: len(pooled_in_window[k]) / len(unique_pairs) for k in ks
+            k: len(pooled_in_window[k]) / len(unique_pairs) for k in COVERAGE_KS
         },
         subtheme_total=len(pooled_pairs),
     )

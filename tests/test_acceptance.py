@@ -311,7 +311,7 @@ def test_criterion_6_topic_alignment_properties(tmp_path):
         model = _ranked_model(topic_count)
         n = rng.randint(1, 10)
         assigned = [f"t{rng.randint(1, topic_count)}" for _ in range(n)]
-        values = [coverage_k(assigned, model, k, n=n) for k in range(1, 7)]
+        values = [coverage_k(assigned, model, k) for k in range(1, 7)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     # determinism: the same corpus gives the same topics

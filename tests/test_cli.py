@@ -10,9 +10,10 @@ import pytest
 import quallm
 from quallm import ndjson
 from quallm.cli import main
-from quallm.config import load_config, parse_config_text
+from quallm.config import _KINDS, load_config, parse_config_text
 from quallm.gateway import Gateway, MockBackend
 from quallm.pipeline import PipelineRunner, RunPaths
+from quallm.prompts import TEMPLATE_NAMES, load_template
 
 from conftest import synthetic_study
 
@@ -40,6 +41,26 @@ def test_ingest_happy_path_prints_counts(fixture, capsys):
     assert f"threads retained: {fixture.counts['retained']}" in out
     assert "orphan comments dropped: 3" in out  # the study plants three
     assert fixture.run_dir.joinpath("groups.ndjson").exists()
+
+
+def test_ingest_names_skipped_lines_and_duplicates(fixture, tmp_path, capsys):
+    body = "a thread long enough to keep " * 5
+    submission = '{"id": "%s", "title": "t", "selftext": "%s", "created_utc": 10}'
+    submissions = tmp_path / "subs.ndjson"
+    submissions.write_text("\n".join(
+        [submission % ("s1", body), "{not json", submission % ("s2", body),
+         submission % ("s1", "a later copy")]) + "\n")
+    comments = tmp_path / "comments.ndjson"
+    comments.write_text(
+        '{"id": "c1", "link_id": "t3_s2", "body": "hi", "created_utc": 11}\n')
+    rc = main(["ingest", "--config", str(fixture.config_path),
+               "--submissions", str(submissions), "--comments", str(comments)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "submissions parsed: 3 (skipped 1: invalid_json=1)" in out
+    assert "comments parsed: 1 (skipped 0)" in out
+    assert "duplicate submissions dropped: 1" in out
+    assert "threads retained: 2" in out
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -309,7 +330,8 @@ def test_cost_counts_every_billed_call(fixture):
     paths = RunPaths(fixture.run_dir)
     gateway = Gateway(MockBackend.from_script(fixture.script_path),
                       sleep=lambda _: None, run_log_path=paths.llm_log)
-    runner = PipelineRunner(paths, load_config(fixture.config_path).study(), gateway)
+    runner = PipelineRunner(paths, load_config(fixture.config_path).study(), gateway,
+                            workers=8)
     assert [r.failed for r in runner.run_all()] == [0, 0, 0, 0]
     tags = [r["request_tag"] for r in ndjson.iter_records(paths.llm_log)]
     assert tags.count("cls:1") == 2  # the re-ask reuses its tag
@@ -486,6 +508,11 @@ def test_eval_accuracy_and_fleiss(fixture, tmp_path, capsys):
 def test_eval_aggregation_metric_over_mock_run(fixture, capsys):
     run_ingest(fixture)
     main(["run-all", "--config", str(fixture.config_path)])
+    # A sub-theme whose words appear in no concern matches no topic.
+    path = fixture.run_dir / "subthemes_A.json"
+    subthemes = json.loads(path.read_text())
+    subthemes["entries"][0].update(title="qwxz vbnm", description="zzyq plokij")
+    path.write_text(json.dumps(subthemes))
     rc = main(
         [
             "eval",
@@ -507,6 +534,33 @@ def test_eval_aggregation_metric_over_mock_run(fixture, capsys):
     } <= names
     for metric in data["metrics"]:
         assert 0.0 <= metric["value"] <= 1.0
+    [mean] = [m for m in data["metrics"] if m["name"] == "distinctness_mean"]
+    per_theme = mean["details"]["per_theme"]
+    assert {theme: entry["zero_similarity"] for theme, entry in per_theme.items()} == {
+        "A": 1, "B": 0, "C": 0, "D": 0}
+
+
+def test_template_dir_key_reaches_every_stage_prompt(fixture, monkeypatch):
+    templates = fixture.root / "templates"
+    templates.mkdir()
+    for name in TEMPLATE_NAMES:
+        (templates / f"{name}.txt").write_text(f"[custom {name}]\n" + load_template(name))
+    with fixture.config_path.open("a") as fh:
+        fh.write("template_dir=templates\n")
+    sent = []
+    send = MockBackend.send
+
+    def recording_send(self, prompt, tag):
+        sent.append((tag, prompt))
+        return send(self, prompt, tag)
+
+    monkeypatch.setattr(MockBackend, "send", recording_send)
+    run_ingest(fixture)
+    assert main(["run-all", "--config", str(fixture.config_path)]) == 0
+    for prefix, name in (("gen:", "generation"), ("cls:", "classification"),
+                         ("agg:", "aggregation"), ("prev:", "prevalence")):
+        prompts = [prompt for tag, prompt in sent if tag.startswith(prefix)]
+        assert prompts and all(p.startswith(f"[custom {name}]") for p in prompts)
 
 
 def test_eval_unknown_metric_exits_2(fixture, capsys):
@@ -608,6 +662,8 @@ def test_readme_config_block_parses():
     assert values["quotes"] == Path("quotes.json")
     assert values["output_rate"] == 0.03
     assert not any("#" in str(value) for value in values.values())
+    # Every config key is documented there.
+    assert set(values) == set(_KINDS)
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -800,8 +856,16 @@ def test_judgment_verdict_not_yes_or_no_names_file_and_line(fixture, tmp_path, c
     "quotes, where",
     [('[{"theme": "A", "quote": "no rank here"}]', "entry 1"),
      ('{"theme": "A", "rank": 1, "quote": "not in a list"}', "list"),
-     ('[{"theme": "A", "rank": 1, "quo', "quotes.json: not valid JSON")],
-    ids=["missing-rank", "not-a-list", "not-json"],
+     ('[{"theme": "A", "rank": 1, "quo', "quotes.json: not valid JSON"),
+     ('[{"theme": "A", "rank": 2, "quote": "x"},'
+      ' {"theme": "A", "rank": 1, "quote": null}]', "entry 2"),
+     ('[{"theme": "A", "rank": 2.7, "quote": "x"}]', "entry 1"),
+     ('[{"theme": "A", "rank": 1, "quote": "x"},'
+      ' {"theme": "A", "rank": true, "quote": "y"}]', "entry 2"),
+     ('[{"theme": "A", "rank": 1, "quote": "x"},'
+      ' {"theme": "A", "rank": 1.0, "quote": "y"}]', "entry 2 repeats theme A rank 1")],
+    ids=["missing-rank", "not-a-list", "not-json", "null-quote", "fractional-rank",
+         "bool-rank", "duplicate-rank"],
 )
 def test_malformed_quotes_file_exits_2(fixture, capsys, quotes, where):
     (fixture.root / "quotes.json").write_text(quotes)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -103,16 +104,17 @@ def test_prevalence_prompt_catch_all_tracks_subtheme_count():
 
 def test_template_dir_override(tmp_path, study):
     (tmp_path / "generation.txt").write_text("custom {{topic}}|{{source}}|{{threads}}")
-    prompt = render_generation_prompt(make_group(), study, template_dir=tmp_path)
+    overridden = replace(study, template_dir=tmp_path)
+    prompt = render_generation_prompt(make_group(), overridden)
     assert prompt.startswith("custom concerns about automated dispatch")
     # The override wins over the packaged text even once that is cached,
     # and an edited override takes effect on the next render.
     packaged = render_generation_prompt(make_group(), study)
     assert not packaged.startswith("custom")
-    prompt = render_generation_prompt(make_group(), study, template_dir=tmp_path)
+    prompt = render_generation_prompt(make_group(), overridden)
     assert prompt.startswith("custom concerns about automated dispatch")
     (tmp_path / "generation.txt").write_text("edited {{threads}}")
-    prompt = render_generation_prompt(make_group(), study, template_dir=tmp_path)
+    prompt = render_generation_prompt(make_group(), overridden)
     assert prompt.startswith("edited {")
 
 

@@ -357,12 +357,22 @@ def test_generate_for_group_quote_check_equals_direct_verify_quote(study):
 
 def test_parse_serial_map_accepts_json_and_relaxed_forms():
     assert parse_serial_letter_map('{"1": "A", "2": "E"}') == {1: "A", 2: "E"}
+    assert parse_serial_letter_map('{"1": " b ", "2": "Z"}') == {1: "B", 2: "Z"}
     assert parse_serial_letter_map("{1: A, 2: b, 3: C}") == {1: "A", 2: "B", 3: "C"}
 
 
 def test_parse_serial_map_rejects_prose():
     with pytest.raises(MalformedStageOutput):
         parse_serial_letter_map("I could not classify these.")
+
+
+def test_parse_serial_map_rejects_json_that_is_not_serial_to_letter():
+    for reply in ('{"1": ["A"]}', '{"1": "A", "2": null}', '{"1": "AB"}',
+                  '{"1": ""}', '{"1": 3}', '{"1": "\u00e9"}', '{"one": "A"}'):
+        with pytest.raises(MalformedStageOutput):
+            parse_serial_letter_map(reply)
+    # The relaxed form drops a multi-letter value, and the parity check re-asks.
+    assert parse_serial_letter_map("{1: AB, 2: c}") == {2: "C"}
 
 
 def test_check_parity_enforces_count_and_serials():
@@ -446,6 +456,17 @@ def test_classification_unknown_letter_remaps_to_catch_all(study, tmp_path):
     )
     assert _codes(run) == ["E", "B"]
     assert run.summary["remapped_to_catch_all"] == 1
+
+
+def test_classification_non_letter_value_is_reasked(study, tmp_path):
+    entries = [
+        {"request_tag": "cls:1", "response_text": '{"1": null, "2": "B"}'},
+        {"request_tag": "cls:1", "response_text": '{"1": "A", "2": "B"}'},
+    ]
+    run = run_letter_stage(tmp_path, study, entries, _concerns(2))
+    assert _codes(run) == ["A", "B"]
+    assert run.gateway.backend.calls == 2
+    assert run.summary["remapped_to_catch_all"] == 0
 
 
 def test_classification_chunks_and_conservation(study, tmp_path):

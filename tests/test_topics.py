@@ -144,7 +144,7 @@ def test_topic_weights_normalized_and_frequencies_nonincreasing():
 def quadratic_extract_topics(corpus, params):
     """Reference extractor: every document against every centroid with
     ``cosine``, recomputing both norms on each comparison."""
-    vectors = [vectorize(text, params.ngram_range) for text in corpus]
+    vectors = [vectorize(text) for text in corpus]
     nonempty = [v for v in vectors if v]
     centroids, sizes = [], []
     for vector in nonempty:
@@ -198,7 +198,7 @@ def seeded_corpus(seed, docs, vocab_size, duplicate_share=0.0, empty_share=0.0):
         (seeded_corpus(2, 400, 3000, empty_share=0.1), TopicParams(min_topic_size=2)),
         # small vocabulary: large centroids, many shared terms
         (seeded_corpus(3, 400, 30), TopicParams(min_topic_size=3)),
-        (seeded_corpus(4, 300, 12), TopicParams(min_topic_size=1, ngram_range=(1, 3))),
+        (seeded_corpus(4, 300, 12), TopicParams(min_topic_size=1)),
         # duplicates and empty documents; at threshold 1.0 a duplicate
         # may fall just short of similarity 1 and open an identical
         # centroid, so later copies tie exactly between centroids
@@ -214,10 +214,10 @@ def seeded_corpus(seed, docs, vocab_size, duplicate_share=0.0, empty_share=0.0):
             seeded_corpus(7, 300, 200, duplicate_share=0.2),
             TopicParams(min_topic_size=1, similarity_threshold=0.1),
         ),
-        # "alpha" is equally similar (1/sqrt 2) to both earlier centroids
+        # "alpha" is equally similar (1/sqrt 3) to both earlier centroids
         (
             ["alpha beta", "alpha gamma", "alpha", "alpha", "gamma beta"] * 3,
-            TopicParams(min_topic_size=1, similarity_threshold=0.7, ngram_range=(1, 1)),
+            TopicParams(min_topic_size=1, similarity_threshold=0.5),
         ),
     ],
 )
@@ -320,7 +320,7 @@ def test_coverage_nondecreasing_in_k_random_instances():
         output = simple_model(topic_count)
         n = rng.randint(1, 8)
         assigned = [f"t{rng.randint(1, topic_count)}" for _ in range(n)]
-        values = [coverage_k(assigned, output, k, n=n) for k in range(1, 6)]
+        values = [coverage_k(assigned, output, k) for k in range(1, 6)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
