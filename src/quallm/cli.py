@@ -82,13 +82,14 @@ def _build_gateway(config: RunConfig, paths: RunPaths) -> Gateway:
     return Gateway(backend, retry=retry, run_log_path=paths.llm_log, seed=config.seed)
 
 
-def _runner(config: RunConfig, paths: RunPaths) -> PipelineRunner:
+def _runner(config: RunConfig, paths: RunPaths, retry_failed: bool = False) -> PipelineRunner:
     paths.run_dir.mkdir(parents=True, exist_ok=True)
     return PipelineRunner(
         paths,
         config.study(),
         _build_gateway(config, paths),
         workers=config.concurrency,
+        retry_failed=retry_failed,
     )
 
 
@@ -159,16 +160,19 @@ def _run_stages(args: argparse.Namespace, stage_names: Sequence[str]) -> int:
 
 
 def cmd_retry_failed(args: argparse.Namespace) -> int:
-    runner = _runner(*_load(args))
+    """Re-run the failed units of every stage that has already run."""
+    runner = _runner(*_load(args), retry_failed=True)
+    paths = runner.paths
 
     before: dict[str, int] = {}
     for stage in STAGES:
-        summary = runner.paths.summary(stage)
+        summary = paths.summary(stage)
         if summary.exists():
             before[stage] = ndjson.read_json(summary).get("failed", 0)
 
     with runner.gateway:
-        reports = runner.retry_failed()
+        reports = [runner.run_stage(stage) for stage in STAGES
+                   if paths.checkpoint(stage).exists()]
     for report in reports:
         previous = before.get(report.stage, report.failed)
         print(
@@ -342,14 +346,15 @@ def _evaluate_metric(
             )
         ]
     # aggregation alignment
+    topics_dir = _require_file(args.topics_dir, "--topics-dir") if args.topics_dir else None
+    if topics_dir is not None and not topics_dir.is_dir():
+        raise CliError(f"--topics-dir is not a directory: {topics_dir}", EXIT_INPUT)
     params = topics_mod.TopicParams(
         min_topic_size=args.min_topic_size,
         similarity_threshold=args.similarity_threshold,
     )
     evaluation = topics_mod.evaluate_aggregation(
-        paths.run_dir,
-        params,
-        external_topics_dir=Path(args.topics_dir) if args.topics_dir else None,
+        paths.run_dir, params, external_topics_dir=topics_dir
     )
     per_theme = {
         t.theme: {

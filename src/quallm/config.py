@@ -72,17 +72,34 @@ class RunConfig:
             )
         if self.group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
+        if self.template_dir is not None and not self.template_dir.is_dir():
+            raise ValueError(f"template_dir is not a directory: {self.template_dir}")
         for name in ("input_rate", "output_rate"):
             rate = getattr(self, name)
             if not rate > 0:
                 raise ValueError(f"{name} must be > 0, got {rate}")
 
     def load_taxonomy(self) -> ThemeTaxonomy:
-        if self.taxonomy is None:
+        """The human-written taxonomy: a JSON list of {"code", "name",
+        "description"?} objects with string values."""
+        path = self.taxonomy
+        if path is None:
             raise ValueError("taxonomy file is required (config key 'taxonomy')")
-        if not self.taxonomy.exists():
-            raise FileNotFoundError(f"taxonomy file not found: {self.taxonomy}")
-        return ThemeTaxonomy.from_dict(ndjson.read_json(self.taxonomy))
+        if not path.exists():
+            raise FileNotFoundError(f"taxonomy file not found: {path}")
+        data = ndjson.read_json(path)
+        if not isinstance(data, list):
+            raise ValueError(f"{path}: expected a JSON list of category objects")
+        for index, item in enumerate(data, start=1):
+            if not (isinstance(item, dict)
+                    and all(isinstance(item.get(key), str) for key in ("code", "name"))
+                    and isinstance(item.get("description", ""), str)):
+                raise ValueError(f"{path}: entry {index} needs a string code and name,"
+                                 " and a description only as a string")
+        try:
+            return ThemeTaxonomy.from_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def study(self) -> StudyConfig:
         if not self.topic:

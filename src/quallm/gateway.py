@@ -141,6 +141,17 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
+def _reply(prompt: str, text: str, input_tokens: Optional[int],
+           output_tokens: Optional[int]) -> tuple[str, int, int]:
+    """A backend's (text, input, output); only an absent count is
+    estimated, so a reported 0 is billed as 0."""
+    if input_tokens is None:
+        input_tokens = estimate_tokens(prompt)
+    if output_tokens is None:
+        output_tokens = estimate_tokens(text)
+    return text, input_tokens, output_tokens
+
+
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
@@ -209,14 +220,8 @@ class MockBackend:
                 MALFORMED_OUTPUT: MalformedOutputError,
             }.get(failure, BackendError)
             raise exc(entry.get("detail", f"scripted {failure}"))
-        text = entry["response_text"]
-        input_tokens = entry.get("input_tokens")
-        output_tokens = entry.get("output_tokens")
-        if input_tokens is None:
-            input_tokens = estimate_tokens(prompt)
-        if output_tokens is None:
-            output_tokens = estimate_tokens(text)
-        return text, input_tokens, output_tokens
+        return _reply(prompt, entry["response_text"], entry.get("input_tokens"),
+                      entry.get("output_tokens"))
 
 
 def _check_entry(entry: object, where: str) -> None:
@@ -320,11 +325,7 @@ class HttpBackend:
         except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise MalformedOutputError(f"unexpected response shape: {exc}") from exc
 
-        return (
-            text,
-            input_tokens or estimate_tokens(prompt),
-            output_tokens or estimate_tokens(text),
-        )
+        return _reply(prompt, text, input_tokens, output_tokens)
 
 
 def token_count(value: object, name: str) -> Optional[int]:

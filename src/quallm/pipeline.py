@@ -30,9 +30,11 @@ unless its key's record carries its current digest: a resumed run skips
 completed units, a finished stage re-invocation makes no backend calls
 and rewrites identical outputs, and after an input change (retry-failed
 adds concerns upstream, a chunk size changes) only the units whose
-inputs changed re-run.  Records of older versions have no digest; see
-``_legacy_current``.  A corrupt checkpoint line, or one whose payload
-lacks what its stage reads, is quarantined, so its unit re-runs.
+inputs changed re-run.  A record without a digest (written before
+records carried one) is pending, so its unit re-runs once.  A runner
+that retries failed units also re-runs the units whose record failed.
+A corrupt checkpoint line, or one whose payload lacks what its stage
+reads, is quarantined, so its unit re-runs.
 
 Each stage rebuilds its whole output set from its checkpoint. Outputs
 and summaries are replaced atomically (written to a temp file, then
@@ -84,7 +86,6 @@ from .models import (
     SubThemeAssignment,
     SubThemeSet,
     ThemeAssignment,
-    ThemeCategory,
 )
 from .stages import (
     LetterResult,
@@ -97,8 +98,13 @@ from .stages import (
 
 logger = logging.getLogger(__name__)
 
-# call(chunk_index, chunk) -> result of one serial->letter chunk
-LetterCall = Callable[[int, Sequence[Concern]], LetterResult]
+# A letter-chunk unit function with its leading arguments bound:
+# call(chunk, study, chunk_index) answers one serial->letter chunk.
+LetterCall = Callable[[Sequence[Concern], StudyConfig, int], LetterResult]
+
+# (key, digest, ask, payload): ask() returns the unit's value or its
+# GatewayFailure, and payload(value) the ok record's payload.
+Unit = tuple[str, str, Callable[[], Any], Callable[[Any], dict]]
 
 STAGE_GENERATE = "generate"
 STAGE_CLASSIFY = "classify"
@@ -286,46 +292,45 @@ def _concern_fields(concerns: Iterable[Concern]) -> Iterator[str]:
     return chain.from_iterable((c.concern_id, c.title, c.description) for c in concerns)
 
 
-def _legacy_current(paths: RunPaths, stage: str) -> bool:
-    """Whether the stage's records without a digest are current.  Older
-    versions wrote them under the fingerprint of the stage's input files in
-    ``checkpoints/<stage>.meta.json``, discarded when it changed, so they
-    hold while it still matches.  Nothing writes that file now."""
-    inputs = {STAGE_GENERATE: [paths.groups], STAGE_CLASSIFY: [paths.concerns]}.get(
-        stage, [paths.theme_assignments, paths.concerns])
-    if stage == STAGE_PREVALENCE:
-        inputs += paths.subtheme_files()
-    try:
-        meta = ndjson.read_json(paths.checkpoint(stage).with_suffix(".meta.json"))
-        recorded = meta["input_fingerprint"]
-    except (FileNotFoundError, ValueError, KeyError, TypeError):
-        return False
-    fingerprint = hashlib.sha256()
-    for path in inputs:
-        fingerprint.update(path.name.encode())
-        fingerprint.update(path.read_bytes() if path.exists() else b"<missing>")
-    return recorded == fingerprint.hexdigest()
-
-
 T = TypeVar("T")
 
 
-def _unit_record(result: Union[T, GatewayFailure], payload: Callable[[T], dict]) -> dict:
-    """Checkpoint line of one unit, but for the ``key`` and ``digest`` that
-    ``_run_units`` adds: ``{status: "ok", payload}`` or
-    ``{status: "failed", category, detail, attempts}``."""
+def _record(key: str, digest: str, ask: Callable[[], Union[T, GatewayFailure]],
+            payload: Callable[[T], dict]) -> dict:
+    """Run one unit and return its checkpoint line: ``{key, digest, status:
+    "ok", payload}`` or ``{key, digest, status: "failed", category, detail,
+    attempts}``."""
+    result = ask()
     if isinstance(result, GatewayFailure):
         return {
+            "key": key,
+            "digest": digest,
             "status": "failed",
             "category": result.category,
             "detail": result.detail,
             "attempts": result.attempts,
         }
-    return {"status": "ok", "payload": payload(result)}
+    return {"key": key, "digest": digest, "status": "ok", "payload": payload(result)}
 
 
-def _keyed(key: str, digest: str, run: Callable[[], dict]) -> dict:
-    return {"key": key, "digest": digest, **run()}
+def _concerns_payload(concerns: Sequence[Concern]) -> dict:
+    return {"concerns": [c.to_dict() for c in concerns]}
+
+
+def _subthemes_payload(subthemes: SubThemeSet) -> dict:
+    return {"subthemes": subthemes.to_dict()}
+
+
+def _assignments(theme: str, chunk: Sequence[Concern], result: tuple[list[str], int]) -> dict:
+    """Payload of a letter chunk; a *theme*'s assignments carry it."""
+    letters, remapped = result
+    assignments = []
+    for concern, letter in zip(chunk, letters):
+        record = {"concern_id": concern.concern_id, "code": letter}
+        if theme:
+            record["theme"] = theme
+        assignments.append(record)
+    return {"assignments": assignments, "remapped": remapped}
 
 
 @dataclass
@@ -362,6 +367,7 @@ class PipelineRunner:
         study: StudyConfig,
         gateway: Gateway,
         workers: int,
+        retry_failed: bool = False,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -369,42 +375,36 @@ class PipelineRunner:
         self.study = study
         self.gateway = gateway
         self.workers = workers
+        self.retry_failed = retry_failed
 
     # -- generic unit execution ------------------------------------------
 
     def _run_units(
-        self,
-        stage: str,
-        units: Sequence[tuple[str, str, Callable[[], dict]]],
-        retry_failed: bool,
-        check: Callable[[dict], Any],
+        self, stage: str, units: Sequence[Unit], check: Callable[[dict], Any]
     ) -> tuple[list[dict], StageReport]:
-        """Run the pending (key, digest, run) *units*, ``run()`` returning
-        a ``_unit_record``; return their records in unit order and the stage
-        report.  A unit is pending unless its key's record carries its digest
-        (and, with *retry_failed*, is ok).  *check* is the stage's payload
-        check (see ``Checkpoint.load``)."""
+        """Run each pending unit of *units* through ``_record``; return the
+        records of all *units* in unit order and the stage report.  A unit
+        is pending unless its key's record carries its digest and, when
+        the runner retries failed units, is ok.  *check* is the stage's
+        payload check (see ``Checkpoint.load``)."""
         checkpoint = Checkpoint(self.paths.checkpoint(stage),
                                 self.paths.quarantine(stage))
         checkpoint.path.parent.mkdir(parents=True, exist_ok=True)
         done = checkpoint.load(check)
-        legacy = (any("digest" not in record for record in done.values())
-                  and _legacy_current(self.paths, stage))
 
         def current(key: str, digest: str) -> bool:
-            record = done.get(key)
-            if record is None or (retry_failed and record["status"] == "failed"):
-                return False
-            return record["digest"] == digest if "digest" in record else legacy
+            record = done.get(key, {})
+            return record.get("digest") == digest and not (
+                self.retry_failed and record["status"] == "failed")
 
-        pending = [functools.partial(_keyed, key, digest, run)
-                   for key, digest, run in units if not current(key, digest)]
+        pending = [functools.partial(_record, *unit)
+                   for unit in units if not current(*unit[:2])]
 
         tokens_before = self.gateway.tokens
         executed = self._execute(pending, checkpoint, done)
         tokens_after = self.gateway.tokens
 
-        entries = [done[key] for key, _, _ in units]
+        entries = [done[key] for key, *_ in units]
         failed_by_category: dict[str, int] = {}
         for entry in entries:
             if entry["status"] != "ok":
@@ -490,16 +490,15 @@ class PipelineRunner:
         themes: Sequence[tuple[str, Sequence[str], Sequence[Concern], LetterCall]],
         chunk_size: int,
         output: Path,
-        retry_failed: bool,
     ) -> StageReport:
         """Run serial->letter chunks (classify, prevalence) and write their
         assignments to *output*.
 
         *themes* holds (theme, context, concerns, call) tuples;
-        ``call(index, chunk)`` answers one chunk, and each chunk's digest
-        covers the *context* fields and its concerns. Classification passes
-        a single tuple with theme "" and no context, so its unit keys are
-        bare chunk numbers and its assignments carry no theme.
+        ``call(chunk, study, index)`` answers one chunk, and each chunk's
+        digest covers the *context* fields and its concerns. Classification
+        passes a single tuple with theme "" and no context, so its unit keys
+        are bare chunk numbers and its assignments carry no theme.
         """
         units = []
         for theme, context, concerns, call in themes:
@@ -509,10 +508,11 @@ class PipelineRunner:
                 units.append((
                     f"{theme}:{index}" if theme else str(index),
                     _digest(chain(context, _concern_fields(chunk))),
-                    functools.partial(_letter_unit, theme, index, chunk, call),
+                    functools.partial(call, chunk, self.study, index),
+                    functools.partial(_assignments, theme, chunk),
                 ))
         check = _assignment_check(themed=any(theme for theme, *_ in themes))
-        entries, report = self._run_units(stage, units, retry_failed, check)
+        entries, report = self._run_units(stage, units, check)
 
         assignments: list[dict] = []
         remapped = 0
@@ -541,21 +541,16 @@ class PipelineRunner:
 
     # -- stage: generate ---------------------------------------------------
 
-    def stage_generate(self, retry_failed: bool = False) -> StageReport:
+    def stage_generate(self) -> StageReport:
         if not self.paths.groups.exists():
             raise PipelineOrderError(STAGE_GENERATE, "ingest")
-        groups = read_groups(self.paths.groups)
-
-        def generate(group: BatchGroup) -> dict:
-            return _unit_record(
-                generate_for_group(self.gateway, group, self.study),
-                lambda concerns: {"concerns": [c.to_dict() for c in concerns]},
-            )
-
-        units = [(g.group_key, _digest(_member_fields(g)), functools.partial(generate, g))
-                 for g in groups]
-        entries, report = self._run_units(STAGE_GENERATE, units, retry_failed,
-                                          _check_concerns)
+        units = [
+            (g.group_key, _digest(_member_fields(g)),
+             functools.partial(generate_for_group, self.gateway, g, self.study),
+             _concerns_payload)
+            for g in read_groups(self.paths.groups)
+        ]
+        entries, report = self._run_units(STAGE_GENERATE, units, _check_concerns)
 
         concerns: list[dict] = []
         empty_groups = 0
@@ -578,20 +573,15 @@ class PipelineRunner:
 
     # -- stage: classify ----------------------------------------------------
 
-    def stage_classify(self, retry_failed: bool = False) -> StageReport:
+    def stage_classify(self) -> StageReport:
         if not self.paths.concerns.exists():
             raise PipelineOrderError(STAGE_CLASSIFY, STAGE_GENERATE)
         concerns = load_concerns(self.paths.concerns)
-
-        def classify(index: int, chunk: Sequence[Concern]) -> LetterResult:
-            return classify_chunk(self.gateway, chunk, self.study, index)
-
         report = self._run_letter_chunks(
             STAGE_CLASSIFY,
-            [("", (), concerns, classify)],
+            [("", (), concerns, functools.partial(classify_chunk, self.gateway))],
             self.study.classification_chunk_size,
             self.paths.theme_assignments,
-            retry_failed,
         )
         report.extras["concerns_in"] = len(concerns)
         self._write_summary(report)
@@ -599,23 +589,17 @@ class PipelineRunner:
 
     # -- stage: aggregate ----------------------------------------------------
 
-    def stage_aggregate(self, retry_failed: bool = False) -> StageReport:
+    def stage_aggregate(self) -> StageReport:
         theme_concerns = themed_concerns(self.paths, STAGE_AGGREGATE)
-
-        def aggregate(category: ThemeCategory, concerns: list[Concern]) -> dict:
-            return _unit_record(
-                run_aggregation(self.gateway, category, concerns, self.study),
-                lambda subthemes: {"subthemes": subthemes.to_dict()},
-            )
-
         units = [
             (category.code, _digest(_concern_fields(concerns)),
-             functools.partial(aggregate, category, concerns))
+             functools.partial(run_aggregation, self.gateway, category, concerns,
+                               self.study),
+             _subthemes_payload)
             for category in self.study.taxonomy.active
             if (concerns := theme_concerns.get(category.code))
         ]
-        entries, report = self._run_units(STAGE_AGGREGATE, units, retry_failed,
-                                          _check_subthemes)
+        entries, report = self._run_units(STAGE_AGGREGATE, units, _check_subthemes)
 
         written = []
         for entry in entries:
@@ -642,21 +626,15 @@ class PipelineRunner:
 
     # -- stage: prevalence ----------------------------------------------------
 
-    def stage_prevalence(self, retry_failed: bool = False) -> StageReport:
+    def stage_prevalence(self) -> StageReport:
         subtheme_sets = load_subtheme_sets(self.paths, STAGE_PREVALENCE)
         theme_concerns = themed_concerns(self.paths, STAGE_PREVALENCE)
-
-        def assigner(subthemes: SubThemeSet) -> LetterCall:
-            def assign(index: int, chunk: Sequence[Concern]) -> LetterResult:
-                return prevalence_chunk(self.gateway, subthemes, chunk, self.study, index)
-
-            return assign
-
         themes = [
             (s.theme,
              (str(len(s.entries)), *chain.from_iterable((e.title, e.description)
                                                         for e in s.by_rank())),
-             theme_concerns.get(s.theme, []), assigner(s))
+             theme_concerns.get(s.theme, []),
+             functools.partial(prevalence_chunk, self.gateway, s))
             for s in subtheme_sets
         ]
         report = self._run_letter_chunks(
@@ -664,7 +642,6 @@ class PipelineRunner:
             themes,
             self.study.prevalence_chunk_size,
             self.paths.subtheme_assignments,
-            retry_failed,
         )
         report.extras["themed_concerns"] = {
             theme: len(concerns) for theme, _, concerns, _ in themes
@@ -674,37 +651,15 @@ class PipelineRunner:
 
     # -- whole runs -----------------------------------------------------------
 
-    def run_stage(self, stage: str, retry_failed: bool = False) -> StageReport:
+    def run_stage(self, stage: str) -> StageReport:
         """Run one of STAGES by name."""
         if stage not in STAGES:
             raise ValueError(f"unknown stage {stage!r}")
         # Looked up per call, so a wrapped stage method is the one that runs.
-        return getattr(self, f"stage_{stage}")(retry_failed)
+        return getattr(self, f"stage_{stage}")()
 
-    def run_all(self, retry_failed: bool = False) -> list[StageReport]:
-        return [self.run_stage(stage, retry_failed) for stage in STAGES]
-
-    def retry_failed(self) -> list[StageReport]:
-        """Re-execute failed units of every stage that has already run."""
-        return [
-            self.run_stage(stage, retry_failed=True)
-            for stage in STAGES
-            if self.paths.checkpoint(stage).exists()
-        ]
-
-
-def _letter_unit(theme: str, index: int, chunk: Sequence[Concern], call: LetterCall) -> dict:
-    def payload(result: tuple[list[str], int]) -> dict:
-        letters, remapped = result
-        assignments = []
-        for concern, letter in zip(chunk, letters):
-            record = {"concern_id": concern.concern_id, "code": letter}
-            if theme:
-                record["theme"] = theme
-            assignments.append(record)
-        return {"assignments": assignments, "remapped": remapped}
-
-    return _unit_record(call(index, chunk), payload)
+    def run_all(self) -> list[StageReport]:
+        return [self.run_stage(stage) for stage in STAGES]
 
 
 def _count_values(records: Iterable[dict], field_name: str) -> dict[str, int]:

@@ -47,12 +47,13 @@ def _packaged_template(name: str) -> str:
     )
 
 
-def fill_slots(template: str, values: dict[str, str]) -> str:
-    """Substitute every ``{{slot}}``; an unfilled slot is a template bug."""
+def fill_slots(name: str, template: str, values: dict[str, str]) -> str:
+    """Substitute every ``{{slot}}`` of the *name* template; a slot with no
+    value (a typo in an override template, say) raises ValueError."""
     def replace(match: re.Match) -> str:
         key = match.group(1)
         if key not in values:
-            raise KeyError(f"template slot {{{{{key}}}}} has no value")
+            raise ValueError(f"{name} template: slot {{{{{key}}}}} has no value")
         return values[key]
 
     return _SLOT_RE.sub(replace, template)
@@ -102,6 +103,7 @@ def render_generation_prompt(group: BatchGroup, config: StudyConfig) -> str:
     """Build the concern-generation prompt for one batch group."""
     template = load_template("generation", config.template_dir)
     prompt = fill_slots(
+        "generation",
         template,
         {
             "source": config.source_description,
@@ -122,6 +124,7 @@ def render_classification_prompt(
 ) -> str:
     template = load_template("classification", config.template_dir)
     return fill_slots(
+        "classification",
         template,
         {
             "category_count": str(len(config.taxonomy.categories)),
@@ -142,6 +145,7 @@ def _render_aggregation(
     described = f"{category.name}: {category.description}" if category.description \
         else category.name
     return fill_slots(
+        "aggregation",
         template,
         {
             "source": config.source_description,
@@ -182,6 +186,7 @@ def render_prevalence_prompt(
         for code, entry in zip(subthemes.codes, subthemes.by_rank())
     )
     return fill_slots(
+        "prevalence",
         template,
         {
             "category_count": str(len(subthemes.entries) + 1),

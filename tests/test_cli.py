@@ -764,6 +764,30 @@ def test_unparseable_taxonomy_names_the_file(fixture, capsys):
     assert not (fixture.run_dir / "llm_log.ndjson").exists()
 
 
+@pytest.mark.parametrize("taxonomy, problem", [
+    ('[{"code": "A"}, {"code": "B", "name": "x"}]', "entry 1 needs a string code and name"),
+    ('{"A": "x"}', "expected a JSON list of category objects"),
+    ('[{"code": "A", "name": "a"}, "B"]', "entry 2 needs a string code and name"),
+    ('[{"code": "A", "name": 1}, {"code": "B", "name": "x"}]', "entry 1 needs"),
+    ('[{"code": "A", "name": "a", "description": null}, {"code": "B", "name": "x"}]',
+     "entry 1 needs"),
+    ('[{"code": "B", "name": "b"}, {"code": "A", "name": "a"}]',
+     "category codes must be consecutive letters from A; got 'BA'"),
+], ids=["no-name", "object", "not-an-object", "number-name", "null-description",
+        "codes-out-of-order"])
+def test_malformed_taxonomy_names_the_entry(fixture, capsys, taxonomy, problem):
+    run_ingest(fixture)
+    assert main(["run-all", "--config", str(fixture.config_path)]) == 0
+    calls = (fixture.run_dir / "llm_log.ndjson").read_text().count("\n")
+    fixture.taxonomy_path.write_text(taxonomy)
+    for command in ("classify", "report"):
+        capsys.readouterr()
+        assert main([command, "--config", str(fixture.config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fixture.taxonomy_path}: {problem}")
+    assert (fixture.run_dir / "llm_log.ndjson").read_text().count("\n") == calls
+
+
 @pytest.mark.parametrize(
     "change, problem",
     [({"request_tag": None}, "request_tag"),
@@ -821,6 +845,50 @@ def test_unparseable_ledger_names_the_file(fixture, tmp_path, capsys):
     assert rc == 2
     assert "ledger.json: not valid JSON" in capsys.readouterr().err
     assert not (fixture.run_dir / "cost.md").exists()
+
+
+def test_template_dir_that_is_not_a_directory_exits_2(fixture, capsys):
+    assert run_ingest(fixture) == 0
+    with fixture.config_path.open("a") as fh:
+        fh.write("template_dir=no_such_dir\n")
+    rc = main(["generate", "--config", str(fixture.config_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: template_dir is not a directory: {fixture.root / 'no_such_dir'}\n")
+    assert not (fixture.run_dir / "llm_log.ndjson").exists()
+
+
+def test_override_template_slot_without_value_exits_2_before_any_call(fixture, capsys):
+    assert run_ingest(fixture) == 0
+    templates = fixture.root / "templates"
+    templates.mkdir()
+    (templates / "generation.txt").write_text(load_template("generation") + "{{nosuch}}\n")
+    with fixture.config_path.open("a") as fh:
+        fh.write("template_dir=templates\n")
+    rc = main(["generate", "--config", str(fixture.config_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: generation template: slot {{nosuch}} has no value\n")
+    assert not (fixture.run_dir / "llm_log.ndjson").exists()
+    checkpoint = fixture.run_dir / "checkpoints" / "generate.ndjson"
+    assert not checkpoint.exists() or checkpoint.read_text() == ""
+
+
+@pytest.mark.parametrize("make, rc, message", [
+    (lambda path: None, 3, "input not found: {}"),
+    (lambda path: path.write_text("{}"), 2, "--topics-dir is not a directory: {}"),
+], ids=["missing", "a-file"])
+def test_topics_dir_that_is_not_a_directory_fails(fixture, capsys, tmp_path, make, rc,
+                                                  message):
+    run_ingest(fixture)
+    assert main(["run-all", "--config", str(fixture.config_path)]) == 0
+    capsys.readouterr()
+    topics = tmp_path / "topics"
+    make(topics)
+    assert main(["eval", "--config", str(fixture.config_path), "--metrics", "aggregation",
+                 "--min-topic-size", "1", "--topics-dir", str(topics)]) == rc
+    assert capsys.readouterr().err == f"error: {message.format(topics)}\n"
+    assert not (fixture.run_dir / "metrics.json").exists()
 
 
 def test_unparseable_external_topics_is_that_themes_error(fixture, tmp_path):

@@ -593,6 +593,7 @@ def test_http_backend_success(stub_server):
         ("live reply", None, (3, 3)),
         ("live reply", {"prompt_tokens": None, "completion_tokens": 5}, (3, 5)),
         ("live reply", {"completion_tokens": 5}, (3, 5)),
+        ("live reply", {"prompt_tokens": 0, "completion_tokens": 0}, (0, 0)),
         ("live reply", {"prompt_tokens": -1, "completion_tokens": 5}, None),
         ("live reply", {"prompt_tokens": 12, "completion_tokens": "5"}, None),
         ("live reply", {"prompt_tokens": 12.5, "completion_tokens": 5}, None),
@@ -604,7 +605,7 @@ def test_http_backend_success(stub_server):
         (None, None, None),
         (42, {"prompt_tokens": 12, "completion_tokens": 5}, None),
     ],
-    ids=["null-usage", "null-count", "absent-count", "negative", "string", "float",
+    ids=["null-usage", "null-count", "absent-count", "zero-count", "negative", "string", "float",
          "bool", "not-object", "null-content", "null-content-zero-count",
          "null-content-null-usage", "number-content"],
 )
@@ -626,7 +627,8 @@ def test_http_backend_bad_usage_fails_the_call_cleanly(stub_server, tmp_path, co
         assert line["outcome"] == "malformed_output"
         assert gateway.tokens == (0, 0)
     else:
-        # An absent count is estimated from the prompt or the reply text.
+        # An absent count is estimated from the prompt or the reply text;
+        # a reported 0 is billed as 0.
         assert isinstance(result, CompletionResult)
         assert (result.input_tokens, result.output_tokens) == tokens
         assert line["outcome"] == "ok"

@@ -28,7 +28,7 @@ from conftest import (
 )
 
 
-def build_runner(fixture, workers=4, run_dir=None):
+def build_runner(fixture, workers=4, run_dir=None, retry_failed=False):
     paths = RunPaths(run_dir or fixture.run_dir)
     paths.run_dir.mkdir(parents=True, exist_ok=True)
     backend = MockBackend.from_script(fixture.script_path)
@@ -36,8 +36,17 @@ def build_runner(fixture, workers=4, run_dir=None):
     from quallm.config import load_config
 
     config = load_config(fixture.config_path)
-    runner = PipelineRunner(paths, config.study(), gateway, workers=workers)
+    runner = PipelineRunner(paths, config.study(), gateway, workers=workers,
+                            retry_failed=retry_failed)
     return runner, paths, backend
+
+
+def retry_stages(runner):
+    """What ``quallm retry-failed`` runs: every stage whose checkpoint
+    exists, on a runner built with ``retry_failed=True``."""
+    assert runner.retry_failed
+    return [runner.run_stage(stage) for stage in STAGES
+            if runner.paths.checkpoint(stage).exists()]
 
 
 @pytest.fixture(scope="module")
@@ -479,9 +488,9 @@ def test_recovering_one_group_reruns_only_units_whose_inputs_changed(tmp_path):
     gateway.close()
     assert [r.failed for r in reports] == [1, 0, 0, 0]
 
-    runner, _, backend = build_runner(study, run_dir=run_dir)
+    runner, _, backend = build_runner(study, run_dir=run_dir, retry_failed=True)
     tags = _recording(backend)
-    reports = runner.retry_failed()
+    reports = retry_stages(runner)
     runner.gateway.close()
     assert [r.stage for r in reports] == list(STAGES)
     assert (reports[0].executed, reports[0].failed) == (1, 0)
@@ -492,59 +501,69 @@ def test_recovering_one_group_reruns_only_units_whose_inputs_changed(tmp_path):
     assert _finished_run(paths) == finished
 
 
-def _old_fingerprint(files):
-    """The per-stage fingerprint of the version before records carried
-    digests: each input file's name and bytes."""
-    fingerprint = hashlib.sha256()
-    for path in files:
-        fingerprint.update(path.name.encode())
-        fingerprint.update(path.read_bytes() if path.exists() else b"<missing>")
-    return fingerprint.hexdigest()
-
-
-def test_run_directory_without_digests_resumes_while_its_meta_files_match(fixture, tmp_path):
+def test_records_without_a_digest_rerun_their_units_once(fixture, tmp_path):
     run_dir = tmp_path / "run"
     ingest_into(fixture, run_dir)
     runner, paths, _ = build_runner(fixture, run_dir=run_dir)
     runner.run_all()
     runner.gateway.close()
-    assert list(run_dir.joinpath("checkpoints").glob("*.meta.json")) == []
     finished = _finished_run(paths)
 
-    # What the version before digests left: records without a digest, and
-    # the fingerprint of each stage's input files in its meta file.
-    inputs = {
-        "generate": [paths.groups],
-        "classify": [paths.concerns],
-        "aggregate": [paths.theme_assignments, paths.concerns],
-        "prevalence": [paths.theme_assignments, paths.concerns, *paths.subtheme_files()],
-    }
-    for stage, files in inputs.items():
-        meta = run_dir / "checkpoints" / f"{stage}.meta.json"
-        meta.write_text(json.dumps({"input_fingerprint": _old_fingerprint(files)}) + "\n")
-        records = list(ndjson.iter_records(paths.checkpoint(stage)))
-        for record in records:
-            del record["digest"]
-        ndjson.write_records(paths.checkpoint(stage), records)
-    metas = {path: path.read_bytes() for path in run_dir.glob("checkpoints/*.meta.json")}
+    # What a version before records carried digests left: no digest.
+    records = list(ndjson.iter_records(paths.checkpoint("classify")))
+    for record in records:
+        del record["digest"]
+    ndjson.write_records(paths.checkpoint("classify"), records)
 
     runner, _, backend = build_runner(fixture, run_dir=run_dir)
-    reports = runner.run_all()
-    runner.gateway.close()
-    assert backend.calls == 0
-    assert [r.executed for r in reports] == [0, 0, 0, 0]
-    assert _finished_run(paths) == finished
-
-    # A changed concern file makes every old classify record stale, as the
-    # stage-wide fingerprint did; the meta files are only read.
-    records = list(ndjson.iter_records(paths.concerns))
-    records[-1]["description"] += " (edited)"
-    ndjson.write_records(paths.concerns, records)
-    runner, _, backend = build_runner(fixture, run_dir=run_dir)
+    tags = _recording(backend)
     report = runner.stage_classify()
     runner.gateway.close()
-    assert report.executed == report.units_total == backend.calls == 2
-    assert {path: path.read_bytes() for path in metas} == metas
+    assert report.executed == report.units_total == len(records) > 1
+    assert sorted(tags) == sorted(_tag("classify", r["key"]) for r in records)
+    assert _finished_run(paths) == finished
+
+    # Once: every record now carries its digest again.
+    runner, _, backend = build_runner(fixture, run_dir=run_dir)
+    assert runner.stage_classify().executed == backend.calls == 0
+    runner.gateway.close()
+
+
+def _unit_line(group, status, digest=True):
+    line = {"key": group.group_key, "status": status}
+    if digest:
+        line["digest"] = pipeline._digest(pipeline._member_fields(group))
+    if status == "ok":
+        line["payload"] = {"concerns": []}
+    else:
+        line.update(category="network", detail="", attempts=1)
+    return line
+
+
+@pytest.mark.parametrize("line, retry_failed, reused", [
+    (None, False, False),
+    (lambda g: {**_unit_line(g, "ok"), "digest": "0" * 64}, False, False),
+    (lambda g: _unit_line(g, "ok", digest=False), False, False),
+    (lambda g: _unit_line(g, "ok"), False, True),
+    (lambda g: _unit_line(g, "ok"), True, True),
+    (lambda g: _unit_line(g, "failed"), False, True),
+    (lambda g: _unit_line(g, "failed"), True, False),
+], ids=["missing", "stale-digest", "no-digest", "ok", "ok-retry", "failed", "failed-retry"])
+def test_a_unit_is_reused_only_when_its_record_is_current(study, tmp_path, line,
+                                                          retry_failed, reused):
+    paths = RunPaths(tmp_path / "run")
+    group = make_group("aaaa000000000001", [make_doc("s1", "The fare math never adds up.")])
+    ndjson.write_records(paths.groups, [group.to_dict()])
+    if line is not None:
+        ndjson.write_records(paths.checkpoint("generate"), [line(group)])
+    gateway = scripted_gateway([{"request_tag": "gen:aaaa000000000001",
+                                 "response_text": "No concerns"}])
+    runner = PipelineRunner(paths, study, gateway, workers=1, retry_failed=retry_failed)
+    report = runner.stage_generate()
+    assert (report.executed, report.skipped) == ((0, 1) if reused else (1, 0))
+    assert gateway.backend.calls == (0 if reused else 1)
+    record = json.loads(paths.checkpoint("generate").read_text().splitlines()[-1])
+    assert record == (line(group) if reused else _unit_line(group, "ok"))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +599,8 @@ def test_failed_units_recorded_and_retry_failed_recovers(fixture, tmp_path):
     assert report.failed_by_category == {"throttled": 1}
     concerns_before = len(list(ndjson.iter_records(paths.concerns)))
 
-    retry_report = runner.stage_generate(retry_failed=True)
+    retrying = PipelineRunner(paths, config.study(), gateway, workers=2, retry_failed=True)
+    retry_report = retrying.stage_generate()
     assert retry_report.failed == 0
     concerns_after = len(list(ndjson.iter_records(paths.concerns)))
     assert concerns_after == concerns_before + recovered
@@ -600,7 +620,8 @@ def test_load_keeps_only_the_last_line_of_each_key(fixture, tmp_path):
     study = load_config(fixture.config_path).study()
     runner = PipelineRunner(paths, study, gateway, workers=2)
     assert runner.run_all()[0].failed == 1
-    assert all(r.failed == 0 for r in runner.retry_failed())
+    retrying = PipelineRunner(paths, study, gateway, workers=2, retry_failed=True)
+    assert all(r.failed == 0 for r in retry_stages(retrying))
     # A key that names no current unit keeps its last line too.
     gone = [{"key": "gone", "status": "failed", "category": "network",
              "attempts": attempts} for attempts in (1, 2)]

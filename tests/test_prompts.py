@@ -60,8 +60,8 @@ def test_serialize_group_renders_iso_timestamps():
 
 
 def test_fill_slots_rejects_unfilled_slot():
-    with pytest.raises(KeyError):
-        fill_slots("hello {{name}} and {{missing}}", {"name": "x"})
+    with pytest.raises(ValueError, match=r"^greeting template: slot \{\{missing\}\}"):
+        fill_slots("greeting", "hello {{name}} and {{missing}}", {"name": "x"})
 
 
 def test_classification_prompt_lists_categories_and_serials(study):
