@@ -72,6 +72,8 @@ class RunConfig:
             )
         if self.group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
+        if self.min_chars < 1:
+            raise ValueError(f"min_chars must be >= 1, got {self.min_chars}")
         if self.template_dir is not None and not self.template_dir.is_dir():
             raise ValueError(f"template_dir is not a directory: {self.template_dir}")
         for name in ("input_rate", "output_rate"):

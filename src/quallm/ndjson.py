@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, BinaryIO, Iterable, Iterator, Optional
+
+# Holds only settings, so one instance serves every thread.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
 def dumps(record: Any) -> str:
     """Canonical single-line encoding (sorted keys, raw unicode)."""
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
+    return _ENCODER.encode(record)
 
 
 @contextmanager
@@ -88,16 +92,21 @@ def append_record(out: Appender, record: Any) -> None:
     out.write(dumps(record) + "\n")
 
 
-def iter_records(path: Path) -> Iterator[Any]:
+def iter_records(path: Path, source: Optional[BinaryIO] = None) -> Iterator[Any]:
     """Yield parsed records, as iter_numbered does, without line numbers."""
-    for _, record in iter_numbered(path):
+    for _, record in iter_numbered(path, source):
         yield record
 
 
-def iter_numbered(path: Path) -> Iterator[tuple[int, Any]]:
+def iter_numbered(path: Path,
+                  source: Optional[BinaryIO] = None) -> Iterator[tuple[int, Any]]:
     """Yield (line number, record) pairs, skipping blank lines; corrupt
-    JSON raises ValueError naming the file and line."""
-    with path.open("r", encoding="utf-8") as fh:
+    JSON raises ValueError naming the file and line.  *source*, when given,
+    is *path* already opened in binary mode: it is read from its current
+    position, and closed."""
+    opened = (path.open("r", encoding="utf-8") if source is None
+              else io.TextIOWrapper(source, encoding="utf-8"))
+    with opened as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line:

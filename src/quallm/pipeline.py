@@ -36,6 +36,13 @@ that retries failed units also re-runs the units whose record failed.
 A corrupt checkpoint line, or one whose payload lacks what its stage
 reads, is quarantined, so its unit re-runs.
 
+A runner reads ``concerns.ndjson`` and ``theme_assignments.ndjson``
+through one ``RunInputs``, which keys each parsed value on the sha256 of
+the file's bytes.  So one command (``run-all``, ``retry-failed``) parses
+each of them at most once although three stages read them, and a file
+replaced since its last parse, by an earlier stage or by anything else,
+is parsed again.
+
 Each stage rebuilds its whole output set from its checkpoint. Outputs
 and summaries are replaced atomically (written to a temp file, then
 renamed), so a crash mid-write leaves the previous version; aggregate
@@ -74,7 +81,17 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import (
+    Any,
+    BinaryIO,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 from . import ndjson
 from .gateway import FAILURE_CATEGORIES, Gateway, GatewayFailure
@@ -87,6 +104,7 @@ from .models import (
     SubThemeSet,
     ThemeAssignment,
 )
+from .prompts import check_templates
 from .stages import (
     LetterResult,
     chunk_slices,
@@ -333,6 +351,73 @@ def _assignments(theme: str, chunk: Sequence[Concern], result: tuple[list[str], 
     return {"assignments": assignments, "remapped": remapped}
 
 
+# ---------------------------------------------------------------------------
+# Run-directory inputs
+# ---------------------------------------------------------------------------
+
+
+class RunInputs:
+    """The stage inputs read from one run directory, each parsed at most
+    once per content.
+
+    A parsed value is keyed on the sha256 of the bytes it was parsed from,
+    and the file is hashed again on every request: an unchanged file
+    returns the value already parsed, and a file replaced since (by a
+    stage, a user or another command) hashes differently and is parsed
+    again.  So what a stage reads is always what its input files hold.
+    Values are shared between requests; callers must not mutate them.
+    ``load_concerns`` and ``themed_concerns`` do the parsing.
+    """
+
+    def __init__(self, paths: RunPaths):
+        self.paths = paths
+        # path -> (the sha256 digests its value rests on, the value)
+        self._parsed: dict[Path, tuple[tuple[bytes, ...], Any]] = {}
+
+    def _parse(self, path: Path, parse: Callable[[Path, BinaryIO], T],
+               *rests_on: bytes) -> tuple[bytes, T]:
+        """(sha256 of *path*'s bytes, ``parse(path, file)``), parsing only
+        when those bytes or the *rests_on* digests changed.  The bytes are
+        hashed and parsed through one open file, so a file replaced
+        meanwhile cannot be parsed under another file's digest, and neither
+        step holds the whole file in memory."""
+        with path.open("rb") as fh:
+            digest = hashlib.sha256()
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+            key = (*rests_on, digest.digest())
+            held = self._parsed.get(path)
+            if held is None or held[0] != key:
+                fh.seek(0)
+                held = self._parsed[path] = (key, parse(path, fh))
+        return key[-1], held[1]
+
+    def concerns(self, stage: str) -> list[Concern]:
+        """``concerns.ndjson``; raises PipelineOrderError for *stage* when
+        generate has not written it."""
+        if not self.paths.concerns.exists():
+            raise PipelineOrderError(stage, STAGE_GENERATE)
+        return self._parse(self.paths.concerns, load_concerns)[1]
+
+    def themed(self, stage: str) -> dict[str, list[Concern]]:
+        """The concerns grouped by assigned theme code (``themed_concerns``).
+
+        Raises PipelineOrderError for *stage*, naming each of generate and
+        classify whose output is missing.
+        """
+        required = ((self.paths.concerns, STAGE_GENERATE),
+                    (self.paths.theme_assignments, STAGE_CLASSIFY))
+        missing = [producer for path, producer in required if not path.exists()]
+        if missing:
+            raise PipelineOrderError(stage, *missing)
+        digest, concerns = self._parse(self.paths.concerns, load_concerns)
+        return self._parse(
+            self.paths.theme_assignments,
+            lambda path, source: themed_concerns(concerns, path, source),
+            digest,
+        )[1]
+
+
 @dataclass
 class StageReport:
     stage: str
@@ -359,7 +444,11 @@ class StageReport:
 
 
 class PipelineRunner:
-    """Executes stages with a bounded worker pool and per-unit checkpoints."""
+    """Executes stages with a bounded worker pool and per-unit checkpoints.
+
+    Building one checks the study's prompt templates (``check_templates``),
+    so a bad slot fails before any backend call.
+    """
 
     def __init__(
         self,
@@ -371,11 +460,13 @@ class PipelineRunner:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        check_templates(study.template_dir)
         self.paths = paths
         self.study = study
         self.gateway = gateway
         self.workers = workers
         self.retry_failed = retry_failed
+        self.inputs = RunInputs(paths)
 
     # -- generic unit execution ------------------------------------------
 
@@ -574,9 +665,7 @@ class PipelineRunner:
     # -- stage: classify ----------------------------------------------------
 
     def stage_classify(self) -> StageReport:
-        if not self.paths.concerns.exists():
-            raise PipelineOrderError(STAGE_CLASSIFY, STAGE_GENERATE)
-        concerns = load_concerns(self.paths.concerns)
+        concerns = self.inputs.concerns(STAGE_CLASSIFY)
         report = self._run_letter_chunks(
             STAGE_CLASSIFY,
             [("", (), concerns, functools.partial(classify_chunk, self.gateway))],
@@ -590,7 +679,7 @@ class PipelineRunner:
     # -- stage: aggregate ----------------------------------------------------
 
     def stage_aggregate(self) -> StageReport:
-        theme_concerns = themed_concerns(self.paths, STAGE_AGGREGATE)
+        theme_concerns = self.inputs.themed(STAGE_AGGREGATE)
         units = [
             (category.code, _digest(_concern_fields(concerns)),
              functools.partial(run_aggregation, self.gateway, category, concerns,
@@ -628,7 +717,7 @@ class PipelineRunner:
 
     def stage_prevalence(self) -> StageReport:
         subtheme_sets = load_subtheme_sets(self.paths, STAGE_PREVALENCE)
-        theme_concerns = themed_concerns(self.paths, STAGE_PREVALENCE)
+        theme_concerns = self.inputs.themed(STAGE_PREVALENCE)
         themes = [
             (s.theme,
              (str(len(s.entries)), *chain.from_iterable((e.title, e.description)
@@ -670,26 +759,25 @@ def _count_values(records: Iterable[dict], field_name: str) -> dict[str, int]:
     return counts
 
 
-def load_concerns(path: Path) -> list[Concern]:
-    return [Concern.from_dict(r) for r in ndjson.iter_records(path)]
+def load_concerns(path: Path, source: BinaryIO) -> list[Concern]:
+    """The concerns of the ``concerns.ndjson`` at *path*, read from
+    *source*, that file opened in binary mode."""
+    return [Concern.from_dict(r) for r in ndjson.iter_records(path, source)]
 
 
-def themed_concerns(paths: RunPaths, stage: str) -> dict[str, list[Concern]]:
-    """Concerns grouped by assigned theme code, in concern_id order.
+def themed_concerns(concerns: Iterable[Concern], assignments: Path,
+                    source: BinaryIO) -> dict[str, list[Concern]]:
+    """*concerns* grouped by the theme code the ``theme_assignments.ndjson``
+    at *assignments* (read from *source*, that file opened in binary mode)
+    gives them, each group in the order of *concerns*.
 
     Concerns of a failed classification chunk have no assignment and are
-    left out.  Raises PipelineOrderError for *stage*, naming each of
-    generate and classify whose output is missing.
+    left out.
     """
-    required = ((paths.concerns, STAGE_GENERATE), (paths.theme_assignments, STAGE_CLASSIFY))
-    missing = [producer for path, producer in required if not path.exists()]
-    if missing:
-        raise PipelineOrderError(stage, *missing)
-    code_by_id = {
-        a["concern_id"]: a["code"] for a in ndjson.iter_records(paths.theme_assignments)
-    }
+    code_by_id = {a["concern_id"]: a["code"]
+                  for a in ndjson.iter_records(assignments, source)}
     out: dict[str, list[Concern]] = {}
-    for concern in load_concerns(paths.concerns):
+    for concern in concerns:
         code = code_by_id.get(concern.concern_id)
         if code is not None:
             out.setdefault(code, []).append(concern)

@@ -5,6 +5,7 @@ defaults ship with the package and can be overridden per run by pointing
 ``StudyConfig.template_dir`` at a directory containing files of the same
 names. A packaged default is read once per process; an override is read
 on every render, so an edited override takes effect at once.
+``check_templates`` checks every template's slots before any is rendered.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from typing import Iterable, Optional, Sequence
 
 from .models import BatchGroup, Concern, StudyConfig, SubThemeSet, ThemeCategory
 
-TEMPLATE_NAMES = ("generation", "classification", "aggregation", "prevalence")
+# The slots each template's renderer fills.
+TEMPLATE_SLOTS = {
+    "generation": ("source", "topic", "threads"),
+    "classification": ("category_count", "categories", "concerns"),
+    "aggregation": ("source", "category", "n", "concerns"),
+    "prevalence": ("category_count", "categories", "catchall_code", "concerns"),
+}
+TEMPLATE_NAMES = tuple(TEMPLATE_SLOTS)
 
 _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 
@@ -57,6 +65,13 @@ def fill_slots(name: str, template: str, values: dict[str, str]) -> str:
         return values[key]
 
     return _SLOT_RE.sub(replace, template)
+
+
+def check_templates(template_dir: Optional[Path] = None) -> None:
+    """Raise ValueError, as a render would, for a slot of any template
+    (packaged or in *template_dir*) that its renderer does not fill."""
+    for name, slots in TEMPLATE_SLOTS.items():
+        fill_slots(name, load_template(name, template_dir), dict.fromkeys(slots, ""))
 
 
 def _iso_utc(epoch_seconds: int) -> str:

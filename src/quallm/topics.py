@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from . import ndjson
-from .pipeline import RunPaths, load_subtheme_sets, themed_concerns
+from .pipeline import RunInputs, RunPaths, load_subtheme_sets
 
 logger = logging.getLogger(__name__)
 
@@ -327,7 +327,7 @@ def evaluate_aggregation(
     "across all the sub-themes" is defensible.
     """
     paths = RunPaths(run_dir)
-    theme_concerns = themed_concerns(paths, "eval")
+    theme_concerns = RunInputs(paths).themed("eval")
     subtheme_sets = load_subtheme_sets(paths, "eval")
 
     per_theme: list[ThemeAlignment] = []

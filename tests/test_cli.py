@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import quallm
-from quallm import ndjson
+from quallm import ndjson, pipeline
 from quallm.cli import main
 from quallm.config import _KINDS, load_config, parse_config_text
 from quallm.gateway import Gateway, MockBackend
@@ -118,6 +119,18 @@ def test_ingest_min_chars_monotone(fixture, tmp_path):
 
     counts = [retained_with(m) for m in (50, 150, 220)]
     assert counts[0] >= counts[1] >= counts[2]
+
+
+def test_min_chars_below_one_exits_2_before_any_archive_read(fixture, capsys,
+                                                          monkeypatch):
+    read = []
+    monkeypatch.setattr("quallm.cli.parse_archive_file", lambda *args: read.append(args))
+    with fixture.config_path.open("a") as fh:
+        fh.write("min_chars=0\n")
+    assert run_ingest(fixture) == 2
+    assert capsys.readouterr().err == "error: min_chars must be >= 1, got 0\n"
+    assert read == []
+    assert not fixture.run_dir.exists()
 
 
 def test_stage_before_predecessor_exits_3(fixture, capsys):
@@ -617,6 +630,52 @@ def test_retry_failed_reports_decreasing_failures(fixture, capsys, tmp_path):
     assert dict(assigned) == {k: v for k, v in fixture.theme_counts.items() if v}
 
 
+def test_run_all_and_retry_failed_parse_each_stage_input_once(fixture, monkeypatch):
+    # classify, aggregate and prevalence read concerns.ndjson, and the last
+    # two theme_assignments.ndjson; one command parses each once.
+    parsed = Counter()
+    iter_numbered = ndjson.iter_numbered
+
+    def counting_iter_numbered(path, source=None):
+        parsed[Path(path).name] += 1
+        return iter_numbered(path, source)
+
+    def counted(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args):
+            parsed[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(ndjson, "iter_numbered", counting_iter_numbered)
+    for name in ("load_concerns", "themed_concerns"):
+        monkeypatch.setattr(pipeline, name, counted(name))
+    once = {"concerns.ndjson": 1, "theme_assignments.ndjson": 1,
+            "load_concerns": 1, "themed_concerns": 1}
+
+    # A classify chunk fails, so retry-failed rewrites theme_assignments
+    # before aggregate and prevalence read it.
+    entries = list(ndjson.iter_records(fixture.script_path))
+    ndjson.write_records(fixture.script_path,
+                         [e for e in entries if e["request_tag"] != "cls:1"]
+                         + [{"request_tag": "cls:1", "failure": "throttled"}])
+    with fixture.config_path.open("a") as fh:
+        fh.write("backoff_base=0.001\n")
+    assert run_ingest(fixture) == 0
+    parsed.clear()
+    assert main(["run-all", "--config", str(fixture.config_path)]) == 4
+    assert {name: parsed[name] for name in once} == once
+
+    ndjson.write_records(fixture.script_path, entries)
+    parsed.clear()
+    assert main(["retry-failed", "--config", str(fixture.config_path)]) == 0
+    assert {name: parsed[name] for name in once} == once
+    assigned = Counter(r["code"] for r in ndjson.iter_records(
+        fixture.run_dir / "theme_assignments.ndjson"))
+    assert dict(assigned) == {k: v for k, v in fixture.theme_counts.items() if v}
+
+
 def test_bad_config_key_exits_2(fixture, tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("run_dir=x\nbackend=mock\nmock_script=s\nbanana=1\n")
@@ -872,6 +931,25 @@ def test_override_template_slot_without_value_exits_2_before_any_call(fixture, c
     assert not (fixture.run_dir / "llm_log.ndjson").exists()
     checkpoint = fixture.run_dir / "checkpoints" / "generate.ndjson"
     assert not checkpoint.exists() or checkpoint.read_text() == ""
+
+
+@pytest.mark.parametrize("name", TEMPLATE_NAMES)
+def test_bad_template_slot_exits_2_before_any_stage_runs(fixture, capsys, name):
+    # Checked when the runner is built: a bad prevalence template must not
+    # let run-all bill generate, classify and aggregate first.
+    assert run_ingest(fixture) == 0
+    templates = fixture.root / "templates"
+    templates.mkdir()
+    (templates / f"{name}.txt").write_text(load_template(name) + "{{nosuch}}\n")
+    with fixture.config_path.open("a") as fh:
+        fh.write("template_dir=templates\n")
+    for command in ("run-all", "retry-failed"):
+        capsys.readouterr()
+        assert main([command, "--config", str(fixture.config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {name} template: slot {{{{nosuch}}}} has no value\n")
+    assert not (fixture.run_dir / "llm_log.ndjson").exists()
+    assert not (fixture.run_dir / "checkpoints").exists()
 
 
 @pytest.mark.parametrize("make, rc, message", [

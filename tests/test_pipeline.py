@@ -15,6 +15,7 @@ from quallm.pipeline import (
     Checkpoint,
     PipelineOrderError,
     PipelineRunner,
+    RunInputs,
     RunPaths,
 )
 
@@ -342,6 +343,60 @@ def test_checkpoint_last_entry_per_key_wins(tmp_path):
     entries = checkpoint.load()
     assert entries["u1"]["status"] == "ok"
     assert entries["u2"]["payload"] == {"x": 2}
+
+
+def test_run_inputs_parse_each_content_once(tmp_path, monkeypatch):
+    paths = RunPaths(tmp_path)
+    concerns = [make_concern(f"g-{i:04d}", title=f"title {i}") for i in (1, 2, 3)]
+    ndjson.write_records(paths.concerns, [c.to_dict() for c in concerns])
+    ndjson.write_records(paths.theme_assignments, [
+        {"concern_id": "g-0001", "code": "A"}, {"concern_id": "g-0003", "code": "B"}])
+    parses = Counter()
+    iter_numbered = ndjson.iter_numbered
+
+    def counting_iter_numbered(path, source=None):
+        parses[path.name] += 1
+        return iter_numbered(path, source)
+
+    monkeypatch.setattr(ndjson, "iter_numbered", counting_iter_numbered)
+    inputs = RunInputs(paths)
+    assert inputs.concerns("classify") == concerns
+    themed = inputs.themed("aggregate")
+    assert themed == {"A": [concerns[0]], "B": [concerns[2]]}
+    assert inputs.themed("prevalence") is themed
+    assert inputs.concerns("classify") is inputs.concerns("classify")
+    assert parses == {"concerns.ndjson": 1, "theme_assignments.ndjson": 1}
+
+    # The key is the content: the same bytes in a new file parse nothing.
+    ndjson.write_records(paths.concerns, [c.to_dict() for c in concerns])
+    assert inputs.themed("prevalence") is themed
+    assert parses == {"concerns.ndjson": 1, "theme_assignments.ndjson": 1}
+
+    # Changed assignments are parsed again; the unchanged concerns are not.
+    ndjson.write_records(paths.theme_assignments, [{"concern_id": "g-0002", "code": "A"}])
+    assert inputs.themed("prevalence") == {"A": [concerns[1]]}
+    assert parses == {"concerns.ndjson": 1, "theme_assignments.ndjson": 2}
+
+    # Changed concerns are parsed again, and so is every grouping of them.
+    ndjson.write_records(paths.concerns, [c.to_dict() for c in concerns[:1]])
+    assert inputs.concerns("classify") == concerns[:1]
+    assert inputs.themed("prevalence") == {}
+    assert parses == {"concerns.ndjson": 2, "theme_assignments.ndjson": 3}
+
+    paths.theme_assignments.unlink()
+    with pytest.raises(PipelineOrderError, match="'aggregate' requires completed 'classify'"):
+        inputs.themed("aggregate")
+    paths.concerns.unlink()
+    with pytest.raises(PipelineOrderError, match="'classify' requires completed 'generate'"):
+        inputs.concerns("classify")
+
+
+def test_dumps_is_json_dumps_with_sorted_keys_and_raw_unicode():
+    # Checkpoint lines and stage outputs are compared byte for byte.
+    for record in ({"b": 1, "a": "caf\u00e9 \u2028 \"q\"", "n": None, "f": 1.5,
+                    "l": [True, {"z": 0, "y": "\n"}]}, [], "s", 7):
+        assert ndjson.dumps(record) == json.dumps(record, sort_keys=True,
+                                                  ensure_ascii=False)
 
 
 def test_write_records_failure_keeps_old_file(tmp_path):

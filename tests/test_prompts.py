@@ -5,11 +5,15 @@ import pytest
 
 from quallm import prompts
 from quallm.prompts import (
+    TEMPLATE_SLOTS,
     PromptTooLargeError,
+    check_templates,
     fill_slots,
+    load_template,
     render_aggregation_prompt,
     render_classification_prompt,
     render_generation_prompt,
+    render_merge_prompt,
     render_prevalence_prompt,
     serialize_group,
 )
@@ -136,3 +140,28 @@ def test_packaged_template_read_once_per_name(monkeypatch, study):
         render_aggregation_prompt(study.taxonomy.categories[0], [make_concern()], study)
         assert render_prevalence_prompt(subthemes, [make_concern()]) == first
     assert opened == {"quallm.templates": 4}
+
+
+def test_template_slots_are_the_slots_each_renderer_fills(tmp_path, study):
+    for name, slots in TEMPLATE_SLOTS.items():
+        assert set(prompts._SLOT_RE.findall(load_template(name))) == set(slots)
+        (tmp_path / f"{name}.txt").write_text("|".join(f"{{{{{s}}}}}" for s in slots))
+    check_templates()
+    check_templates(tmp_path)
+    overridden = replace(study, template_dir=tmp_path)
+    category = study.taxonomy.categories[0]
+    rendered = [
+        render_generation_prompt(make_group(), overridden),
+        render_classification_prompt([make_concern()], overridden),
+        render_aggregation_prompt(category, [make_concern()], overridden),
+        render_merge_prompt(category, [make_subthemes("A")], overridden),
+        render_prevalence_prompt(make_subthemes("B", n=3), [make_concern()], tmp_path),
+    ]
+    assert all(prompt and "{{" not in prompt for prompt in rendered)
+
+
+def test_check_templates_rejects_a_slot_no_renderer_fills(tmp_path):
+    (tmp_path / "prevalence.txt").write_text("{{categories}} {{nosuch}}")
+    with pytest.raises(ValueError,
+                       match=r"^prevalence template: slot \{\{nosuch\}\} has no value$"):
+        check_templates(tmp_path)
